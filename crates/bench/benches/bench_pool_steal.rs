@@ -1,16 +1,10 @@
-//! A/B of the pool's steal policies (`MIXP_STEAL=one` vs `half`) under the
-//! workload half-stealing targets: DD-shaped campaigns that issue many tiny
-//! batches back to back, so claimer tasks are constantly being raided from
-//! whichever worker opened the latest batch.
-//!
-//! Policies never change results (the batch cursor makes distribution
-//! per-item regardless of who holds a claimer); the question is purely how
-//! much scheduler traffic each policy costs. Each arm owns its pool, pinned
-//! via `Pool::with_steal_policy` so the bench is independent of the
-//! process's `MIXP_STEAL`.
+//! The pool's steal path under its most steal-heavy shape: DD-style
+//! campaigns that issue many tiny batches back to back, so claimer tasks
+//! are constantly being raided from whichever worker opened the latest
+//! batch. Measures how much scheduler traffic a burst of tiny batches costs.
 
 use mixp_core::perf::bench::{black_box, BenchGroup};
-use mixp_core::pool::{Pool, StealPolicy};
+use mixp_core::pool::Pool;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -36,11 +30,9 @@ fn main() {
     group
         .warm_up_time(Duration::from_millis(500))
         .measurement_time(Duration::from_secs(2));
-    for (policy, name) in [(StealPolicy::One, "one"), (StealPolicy::Half, "half")] {
-        let pool = Pool::with_steal_policy(4, mixp_core::Obs::noop(), policy);
-        group.bench_function(&format!("dd_tiny_batches/{name}"), move |b| {
-            b.iter(|| black_box(tiny_batch_burst(&pool, 64, 6)))
-        });
-    }
+    let pool = Pool::new(4, mixp_core::Obs::noop());
+    group.bench_function("dd_tiny_batches", move |b| {
+        b.iter(|| black_box(tiny_batch_burst(&pool, 64, 6)))
+    });
     group.finish();
 }

@@ -1,10 +1,6 @@
 //! Runs the complete application evaluation once and emits every derived
 //! artefact: Table V for all three thresholds, plus the Figure 2 and
 //! Figure 3 CSV series — without re-running any search.
-//!
-//! This is the efficient way to regenerate the full paper evaluation;
-//! `table5`, `fig2` and `fig3` exist for regenerating artefacts
-//! individually.
 
 use mixp_bench::options_from_env;
 use mixp_harness::experiments::{table5, TABLE5_ALGOS, TABLE5_THRESHOLDS};

@@ -1,16 +1,16 @@
 //! Table/figure regenerators and in-tree benches for the HPC-MixPBench
 //! reproduction.
 //!
-//! Each binary under `src/bin/` regenerates one artefact of the paper's
+//! The binaries under `src/bin/` regenerate the artefacts of the paper's
 //! evaluation (see `DESIGN.md` for the experiment index):
 //!
 //! * `table1` — the kernel inventory (Table I)
 //! * `table2` — TV/TC per benchmark (Table II)
 //! * `table3` — kernels × 6 algorithms at threshold 1e-8 (Table III)
 //! * `table4` — all-single vs all-double per application (Table IV)
-//! * `table5` — applications × 5 algorithms × 3 thresholds (Table V)
-//! * `fig2` — DD vs GA series (clusters vs configs / speedup) as CSV
-//! * `fig3` — speedup vs evaluated-configurations scatter as CSV
+//! * `evalsuite` — applications × 5 algorithms × 3 thresholds (Table V),
+//!   plus the Figure 2 DD-vs-GA series and the Figure 3 scatter as CSV,
+//!   all from one pass over the campaign
 //!
 //! All binaries take `--scale small|paper` (default `paper`) and
 //! `--workers N` (default: available parallelism).

@@ -50,6 +50,6 @@ pub use mixp_float::{
 };
 pub use mixp_obs::{MetricsSnapshot, Obs, ObsBuilder, SpanGuard, Value};
 pub use mixp_perf::{CacheParams, CostModel};
-pub use mixp_pool::{Pool, StealPolicy};
+pub use mixp_pool::Pool;
 pub use mixp_typedeps::{ClusterId, ProgramBuilder, ProgramModel};
 pub use mixp_verify::{MetricKind, QualityThreshold};

@@ -2,13 +2,13 @@
 //!
 //! The paper's cluster campaigns lose everything when a job array is
 //! killed; this module makes the stand-in scheduler resumable. Completed
-//! [`JobResult`]s are journaled to an append-only JSON-lines file — one
-//! header line naming the format version and a fingerprint of the job
-//! list, then one line per completed cell. A resumed campaign with the
-//! *same* job list loads the journal and re-executes only the unfinished
-//! cells; a journal written for a different campaign (fingerprint
-//! mismatch) is ignored and restarted, and torn trailing lines — the
-//! normal aftermath of a kill mid-write — are skipped.
+//! [`JobResult`]s are journaled to an append-only JSON-lines file
+//! ([`crate::journal`]) — one header line naming the format version and a
+//! fingerprint of the job list, then one line per completed cell. A resumed
+//! campaign with the *same* job list replays the journal and re-executes
+//! only the unfinished cells; a journal written for a different campaign
+//! (fingerprint mismatch) is restarted, and a torn trailing line — the
+//! normal aftermath of a kill mid-write — is cut before appending.
 //!
 //! The format is deliberately simple enough to inspect by eye:
 //!
@@ -37,14 +37,16 @@
 //! journaled — they deserve a fresh attempt on resume.
 
 use crate::job::{Job, JobError, JobResult};
-use crate::json::{parse, Json};
+use crate::journal::JsonlJournal;
+pub use crate::journal::compact;
+use crate::json::Json;
 use crate::registry::{benchmark_by_name, Scale};
-use mixp_core::{EvalRecord, Precision};
+use mixp_core::float::VarRegistry;
+use mixp_core::{EvalRecord, Precision, PrecisionConfig};
 use mixp_search::SearchResult;
-use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Version tag of the run-state format.
 pub const STATE_VERSION: &str = "mixp-run-state-1";
@@ -102,10 +104,31 @@ fn precision_from_name(name: &str) -> Option<Precision> {
     }
 }
 
-/// Serialises one completed cell as a single JSON line (no internal
-/// newlines, so a torn write is detectable as a bad final line).
-fn result_line(index: usize, job: &Job, result: &JobResult) -> String {
-    compact(&result_doc(index, job, result))
+/// The variable names of one benchmark at one scale, and its all-double
+/// configuration: all that the cell codec needs from a benchmark.
+struct VarNames {
+    registry: VarRegistry,
+    all_double: PrecisionConfig,
+}
+
+/// The [`VarNames`] of `benchmark` at `scale`, built once per process.
+/// Building a benchmark generates its inputs, which a journal write or a
+/// status answer must not pay per cell. Unknown names are not cached.
+fn var_names(benchmark: &str, scale: Scale) -> Option<Arc<VarNames>> {
+    static TABLES: OnceLock<Mutex<HashMap<(String, Scale), Arc<VarNames>>>> = OnceLock::new();
+    let tables = TABLES.get_or_init(Mutex::default);
+    let key = (benchmark.to_string(), scale);
+    if let Some(names) = tables.lock().unwrap_or_else(PoisonError::into_inner).get(&key) {
+        return Some(Arc::clone(names));
+    }
+    let bench = benchmark_by_name(benchmark, scale)?;
+    let program = bench.program();
+    let built = Arc::new(VarNames {
+        registry: program.registry().clone(),
+        all_double: program.config_all_double(),
+    });
+    let mut tables = tables.lock().unwrap_or_else(PoisonError::into_inner);
+    Some(Arc::clone(tables.entry(key).or_insert(built)))
 }
 
 /// The JSON document behind [`Journal::record`]'s line. Public so the
@@ -116,9 +139,9 @@ pub fn result_doc(index: usize, job: &Job, result: &JobResult) -> Json {
     let best = match &result.result.best {
         None => Json::Null,
         Some(rec) => {
-            let lowered: Vec<Json> = benchmark_by_name(&result.benchmark, job.scale)
-                .map(|bench| {
-                    let registry = bench.program().registry();
+            let lowered: Vec<Json> = var_names(&result.benchmark, job.scale)
+                .map(|names| {
+                    let registry = &names.registry;
                     rec.config
                         .iter()
                         .filter(|(_, p)| *p != Precision::Double)
@@ -170,50 +193,11 @@ pub fn result_doc(index: usize, job: &Job, result: &JobResult) -> Json {
     doc
 }
 
-/// One-line JSON rendering (the pretty writer inserts newlines, which the
-/// journal format forbids). Shared with the cache journal
-/// ([`crate::evalcache`]) and the campaign service's queue journal, which
-/// use the same torn-line-tolerant format.
-pub fn compact(doc: &Json) -> String {
-    match doc {
-        Json::Null => "null".to_string(),
-        Json::Bool(b) => if *b { "true" } else { "false" }.to_string(),
-        Json::Number(n) => {
-            if n.is_finite() {
-                format!("{n}")
-            } else {
-                "null".to_string()
-            }
-        }
-        Json::String(s) => {
-            // Reuse the escaping of the pretty writer: a lone string has no
-            // indentation, so pretty == compact here.
-            Json::String(s.clone()).pretty()
-        }
-        Json::Array(items) => {
-            let inner: Vec<String> = items.iter().map(compact).collect();
-            format!("[{}]", inner.join(","))
-        }
-        Json::Object(members) => {
-            let inner: Vec<String> = members
-                .iter()
-                .map(|(k, v)| format!("{}:{}", Json::String(k.clone()).pretty(), compact(v)))
-                .collect();
-            format!("{{{}}}", inner.join(","))
-        }
-    }
-}
-
-/// Serialises one permanently failed cell as a single JSON line. The typed
+/// The JSON document behind [`Journal::record_failure`]'s line. The typed
 /// error is stored by its stable `code` plus whatever payload it needs to
-/// round-trip ([`failure_from_line`] rebuilds it).
-fn failure_line(index: usize, job: &Job, error: &JobError) -> String {
-    compact(&failure_doc(index, job, error))
-}
-
-/// The JSON document behind [`Journal::record_failure`]'s line. Public for
-/// the same reason as [`result_doc`]: the campaign service journals failed
-/// cells in this exact shape.
+/// round-trip ([`failure_from_line`] rebuilds it). Public for the same
+/// reason as [`result_doc`]: the campaign service journals failed cells in
+/// this exact shape.
 pub fn failure_doc(index: usize, job: &Job, error: &JobError) -> Json {
     let mut members = vec![
         ("job".to_string(), Json::Number(index as f64)),
@@ -297,13 +281,12 @@ pub fn result_from_line(doc: &Json, jobs: &[Job]) -> Option<(usize, JobResult)> 
     let best = match doc.get("best")? {
         Json::Null => None,
         entry => {
-            let bench = benchmark_by_name(benchmark, job.scale)?;
-            let program = bench.program();
-            let mut config = program.config_all_double();
+            let names = var_names(benchmark, job.scale)?;
+            let mut config = names.all_double.clone();
             for action in entry.get("lowered")?.as_array()? {
                 let name = action.get("name")?.as_str()?;
                 let prec = precision_from_name(action.get("to_type")?.as_str()?)?;
-                let var = program.registry().find(name)?;
+                let var = names.registry.find(name)?;
                 config.set(var, prec);
             }
             Some(EvalRecord {
@@ -332,89 +315,21 @@ pub fn result_from_line(doc: &Json, jobs: &[Job]) -> Option<(usize, JobResult)> 
     ))
 }
 
-/// Parses an existing journal against `jobs`. An unreadable file, a bad or
-/// mismatched header, and torn/foreign lines all degrade to "nothing
-/// recovered" — resume never aborts a campaign.
-pub fn load(path: &Path, jobs: &[Job]) -> RunState {
-    let mut state = RunState::default();
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return state;
-    };
-    let mut lines = text.lines();
-    let Some(header) = lines.next().and_then(|l| parse(l).ok()) else {
-        return state;
-    };
-    let version_ok = header.get("version").and_then(Json::as_str) == Some(STATE_VERSION);
-    let fp_ok =
-        header.get("fingerprint").and_then(Json::as_str) == Some(fingerprint(jobs).as_str());
-    if !version_ok || !fp_ok {
-        return state;
-    }
-    for line in lines {
-        let Ok(doc) = parse(line) else {
-            continue; // torn trailing line from a kill mid-write
-        };
-        if doc.get("status").and_then(Json::as_str) == Some("failed") {
-            if let Some((index, error)) = failure_from_line(&doc, jobs) {
-                state.failed.insert(index, error);
-            }
-        } else if let Some((index, result)) = result_from_line(&doc, jobs) {
-            state.completed.insert(index, result);
-        }
-    }
-    state
-}
-
-/// Writes a fresh journal header durably: the header line goes to a
-/// sibling `<path>.tmp` file, is fsynced, and is renamed over `path` — so
-/// a crash mid-restart leaves either the old journal or a complete new
-/// header, never a torn one. Returns the renamed file reopened for
-/// appending. Shared with the cache journal ([`crate::evalcache`]) and the
-/// campaign service's queue journal.
-pub fn create_with_header(path: &Path, header: &Json) -> std::io::Result<File> {
-    let mut tmp = path.as_os_str().to_os_string();
-    tmp.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp);
-    {
-        let mut file = File::create(&tmp)?;
-        writeln!(file, "{}", compact(header))?;
-        file.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    OpenOptions::new().append(true).open(path)
-}
-
 /// An open, append-mode journal for one campaign.
 #[derive(Debug)]
 pub struct Journal {
-    file: File,
-    /// Records appended since the last fsync.
-    appends: usize,
-    /// Fsync cadence: every N appends (`0` = completion-time sync only).
-    fsync_every: usize,
+    journal: JsonlJournal,
 }
 
 impl Journal {
-    /// [`Journal::open_with`] with periodic fsync disabled — callers that
-    /// want crash durability between appends pass a cadence explicitly.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error if the file cannot be created or
-    /// written.
-    pub fn open(path: &Path, jobs: &[Job]) -> std::io::Result<(Journal, RunState)> {
-        Journal::open_with(path, jobs, 0)
-    }
-
     /// Opens (or creates) the journal at `path` for this campaign and
     /// recovers any prior state.
     ///
-    /// If the file already holds a valid journal for the *same* job list,
-    /// its completed cells are returned and new completions are appended
-    /// after them. Anything else — no file, another campaign's journal, a
-    /// corrupt header — starts the journal afresh, writing the new header
-    /// via a temp file and an atomic rename so a crash mid-restart cannot
-    /// leave a torn header behind.
+    /// If the file already holds a journal for the *same* job list, its
+    /// completed and permanently failed cells are returned and new records
+    /// are appended after them; lines that do not decode against `jobs` are
+    /// skipped. Anything else — no file, another campaign's journal, a
+    /// corrupt header — starts the journal afresh (see [`JsonlJournal`]).
     ///
     /// `fsync_every` is the durability cadence: the file is fsynced after
     /// every N appended records (`0` disables the periodic sync; callers
@@ -424,59 +339,43 @@ impl Journal {
     ///
     /// Returns the underlying I/O error if the file cannot be created or
     /// written.
-    pub fn open_with(
+    pub fn open(
         path: &Path,
         jobs: &[Job],
         fsync_every: usize,
     ) -> std::io::Result<(Journal, RunState)> {
-        let state = load(path, jobs);
-        let fresh = state.completed.is_empty() && !journal_matches(path, jobs);
-        let file = if fresh {
-            let header = Json::Object(vec![
-                (
-                    "version".to_string(),
-                    Json::String(STATE_VERSION.to_string()),
-                ),
-                (
-                    "fingerprint".to_string(),
-                    Json::String(fingerprint(jobs)),
-                ),
-                ("jobs".to_string(), Json::Number(jobs.len() as f64)),
-            ]);
-            create_with_header(path, &header)?
-        } else {
-            OpenOptions::new().append(true).open(path)?
-        };
-        Ok((
-            Journal {
-                file,
-                appends: 0,
-                fsync_every,
-            },
-            state,
-        ))
-    }
-
-    /// One line appended: flush it, and fsync on the configured cadence.
-    fn append_line(&mut self, mut line: String) -> std::io::Result<()> {
-        line.push('\n');
-        self.file.write_all(line.as_bytes())?;
-        self.file.flush()?;
-        self.appends += 1;
-        if self.fsync_every > 0 && self.appends % self.fsync_every == 0 {
-            self.file.sync_data()?;
+        let header = Json::Object(vec![
+            (
+                "version".to_string(),
+                Json::String(STATE_VERSION.to_string()),
+            ),
+            (
+                "fingerprint".to_string(),
+                Json::String(fingerprint(jobs)),
+            ),
+            ("jobs".to_string(), Json::Number(jobs.len() as f64)),
+        ]);
+        let (journal, records) = JsonlJournal::open(path, &header, fsync_every)?;
+        let mut state = RunState::default();
+        for doc in &records {
+            if doc.get("status").and_then(Json::as_str) == Some("failed") {
+                if let Some((index, error)) = failure_from_line(doc, jobs) {
+                    state.failed.insert(index, error);
+                }
+            } else if let Some((index, result)) = result_from_line(doc, jobs) {
+                state.completed.insert(index, result);
+            }
         }
-        Ok(())
+        Ok((Journal { journal }, state))
     }
 
-    /// Appends one completed cell. Each record is a single `write` of one
-    /// full line, so a kill can tear at most the final line.
+    /// Appends one completed cell.
     ///
     /// # Errors
     ///
     /// Returns the underlying I/O error on a failed append.
     pub fn record(&mut self, index: usize, job: &Job, result: &JobResult) -> std::io::Result<()> {
-        self.append_line(result_line(index, job, result))
+        self.journal.append(&result_doc(index, job, result))
     }
 
     /// Appends one permanently failed cell. Callers should only journal
@@ -492,7 +391,7 @@ impl Journal {
         job: &Job,
         error: &JobError,
     ) -> std::io::Result<()> {
-        self.append_line(failure_line(index, job, error))
+        self.journal.append(&failure_doc(index, job, error))
     }
 
     /// Forces everything appended so far to disk. The scheduler calls this
@@ -503,21 +402,8 @@ impl Journal {
     ///
     /// Returns the underlying I/O error on a failed fsync.
     pub fn sync(&mut self) -> std::io::Result<()> {
-        self.file.sync_data()
+        self.journal.sync()
     }
-}
-
-/// Whether `path` holds a journal whose header matches this campaign.
-fn journal_matches(path: &Path, jobs: &[Job]) -> bool {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return false;
-    };
-    let Some(header) = text.lines().next().and_then(|l| parse(l).ok()) else {
-        return false;
-    };
-    header.get("version").and_then(Json::as_str) == Some(STATE_VERSION)
-        && header.get("fingerprint").and_then(Json::as_str)
-            == Some(fingerprint(jobs).as_str())
 }
 
 #[cfg(test)]
@@ -528,6 +414,11 @@ mod tests {
         let mut p = std::env::temp_dir();
         p.push(format!("mixp-checkpoint-{name}-{}", std::process::id()));
         p
+    }
+
+    /// The state a resumed campaign would recover from `path`.
+    fn load(path: &Path, jobs: &[Job]) -> RunState {
+        Journal::open(path, jobs, 0).unwrap().1
     }
 
     fn sample_jobs() -> Vec<Job> {
@@ -555,7 +446,7 @@ mod tests {
         let jobs = sample_jobs();
         let r0 = jobs[0].execute(None, None).unwrap();
         {
-            let (mut journal, state) = Journal::open(&path, &jobs).unwrap();
+            let (mut journal, state) = Journal::open(&path, &jobs, 0).unwrap();
             assert!(state.completed.is_empty());
             journal.record(0, &jobs[0], &r0).unwrap();
         }
@@ -578,14 +469,14 @@ mod tests {
         let jobs = sample_jobs();
         let r0 = jobs[0].execute(None, None).unwrap();
         {
-            let (mut journal, _) = Journal::open(&path, &jobs).unwrap();
+            let (mut journal, _) = Journal::open(&path, &jobs, 0).unwrap();
             journal.record(0, &jobs[0], &r0).unwrap();
         }
         let other = vec![Job::new("eos", "GA", 1e-6, Scale::Small)];
         let state = load(&path, &other);
         assert!(state.completed.is_empty());
         // Opening for the other campaign restarts the journal.
-        let (_, state) = Journal::open(&path, &other).unwrap();
+        let (_, state) = Journal::open(&path, &other, 0).unwrap();
         assert!(state.completed.is_empty());
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains(&fingerprint(&other)));
@@ -598,15 +489,22 @@ mod tests {
         let jobs = sample_jobs();
         let r0 = jobs[0].execute(None, None).unwrap();
         {
-            let (mut journal, _) = Journal::open(&path, &jobs).unwrap();
+            let (mut journal, _) = Journal::open(&path, &jobs, 0).unwrap();
             journal.record(0, &jobs[0], &r0).unwrap();
         }
         // Simulate a kill mid-append: a truncated JSON line at the end.
         let mut text = std::fs::read_to_string(&path).unwrap();
         text.push_str("{\"job\":1,\"benchmark\":\"inner");
         std::fs::write(&path, &text).unwrap();
+        let r1 = jobs[1].execute(None, None).unwrap();
+        {
+            let (mut journal, state) = Journal::open(&path, &jobs, 0).unwrap();
+            assert_eq!(state.completed.len(), 1, "good line kept, torn line dropped");
+            journal.record(1, &jobs[1], &r1).unwrap();
+        }
+        // The record appended after the tear must not be glued onto it.
         let state = load(&path, &jobs);
-        assert_eq!(state.completed.len(), 1, "good line kept, torn line dropped");
+        assert_eq!(state.completed.len(), 2, "record appended after the tear survives");
         std::fs::remove_file(&path).ok();
     }
 
@@ -622,7 +520,7 @@ mod tests {
         assert!(state.completed.is_empty() && state.failed.is_empty());
         let r0 = jobs[0].execute(None, None).unwrap();
         {
-            let (mut journal, state) = Journal::open(&path, &jobs).unwrap();
+            let (mut journal, state) = Journal::open(&path, &jobs, 0).unwrap();
             assert!(state.completed.is_empty());
             journal.record(0, &jobs[0], &r0).unwrap();
         }
@@ -642,7 +540,7 @@ mod tests {
         tmp.push(".tmp");
         std::fs::write(&tmp, "garbage from a crashed run").unwrap();
         {
-            let (_journal, state) = Journal::open(&path, &jobs).unwrap();
+            let (_journal, state) = Journal::open(&path, &jobs, 0).unwrap();
             assert!(state.completed.is_empty());
         }
         let text = std::fs::read_to_string(&path).unwrap();
@@ -661,7 +559,7 @@ mod tests {
         let r0 = jobs[0].execute(None, None).unwrap();
         let r1 = jobs[1].execute(None, None).unwrap();
         {
-            let (mut journal, _) = Journal::open_with(&path, &jobs, 1).unwrap();
+            let (mut journal, _) = Journal::open(&path, &jobs, 1).unwrap();
             journal.record(0, &jobs[0], &r0).unwrap();
             journal.record(1, &jobs[1], &r1).unwrap();
             journal.sync().unwrap();
@@ -673,9 +571,12 @@ mod tests {
 
     #[test]
     fn missing_file_is_empty_state() {
-        let state = load(Path::new("/nonexistent/mixp-run-state"), &sample_jobs());
+        let path = tmpfile("missing");
+        std::fs::remove_file(&path).ok();
+        let state = load(&path, &sample_jobs());
         assert!(state.completed.is_empty());
         assert!(state.failed.is_empty());
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -696,7 +597,7 @@ mod tests {
             JobError::CorruptOutput,
         ];
         {
-            let (mut journal, state) = Journal::open(&path, &jobs).unwrap();
+            let (mut journal, state) = Journal::open(&path, &jobs, 0).unwrap();
             assert!(state.failed.is_empty());
             for (i, e) in errors.iter().enumerate() {
                 journal.record_failure(i, &jobs[i], e).unwrap();
@@ -719,7 +620,7 @@ mod tests {
         let path = tmpfile("fail-transient");
         let jobs = sample_jobs();
         {
-            let (_journal, _) = Journal::open(&path, &jobs).unwrap();
+            let (_journal, _) = Journal::open(&path, &jobs, 0).unwrap();
         }
         let mut text = std::fs::read_to_string(&path).unwrap();
         text.push_str(
@@ -739,7 +640,7 @@ mod tests {
         let jobs = sample_jobs();
         let err = JobError::NonFiniteQuality;
         {
-            let (mut journal, _) = Journal::open(&path, &jobs).unwrap();
+            let (mut journal, _) = Journal::open(&path, &jobs, 0).unwrap();
             journal.record_failure(0, &jobs[0], &err).unwrap();
         }
         // Same fingerprint loads it; a job list whose cell 0 differs in

@@ -17,15 +17,13 @@
 //! the cache on or off. Hit/miss counters are surfaced in the campaign
 //! report ([`crate::scheduler::CampaignStats`]).
 
-use crate::checkpoint::compact;
-use crate::json::{parse, Json};
+use crate::journal::JsonlJournal;
+use crate::json::Json;
 use crate::registry::Scale;
 use mixp_core::{CachedEval, ConfigKey, EvalCache};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
 use std::hash::{Hash, Hasher};
-use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -57,17 +55,6 @@ struct ShardCounters {
     inserts: AtomicU64,
 }
 
-/// The append side of the cache journal. `failed` latches the first write
-/// error so a dead disk warns once instead of spamming per entry.
-struct CacheJournal {
-    file: File,
-    failed: bool,
-    /// Entries appended since the last fsync.
-    appends: usize,
-    /// Fsync cadence: every N appends (`0` = completion-time sync only).
-    fsync_every: usize,
-}
-
 /// The campaign-wide evaluation cache: one instance per campaign, shared by
 /// every job through [`SharedEvalCache::scoped`] handles.
 ///
@@ -80,7 +67,9 @@ pub struct SharedEvalCache {
     counters: Vec<ShardCounters>,
     hits: AtomicU64,
     misses: AtomicU64,
-    journal: Option<Mutex<CacheJournal>>,
+    /// The cache journal, if persisted. The first write error takes it
+    /// (`None` inside), so a dead disk warns once instead of per entry.
+    journal: Option<Mutex<Option<JsonlJournal>>>,
 }
 
 impl std::fmt::Debug for SharedEvalCache {
@@ -124,48 +113,35 @@ impl SharedEvalCache {
     ///
     /// If `path` already holds a journal for the *same* fingerprint, its
     /// entries are reloaded so a resumed campaign starts warm; a foreign or
-    /// corrupt journal is restarted, and torn trailing lines are skipped —
-    /// the same recovery family as the run-state journal. Reloaded hits
-    /// still consume evaluation budget exactly like fresh-run hits, so
-    /// reported numbers never change with or without persistence. All I/O
-    /// failures degrade to an in-memory cache with one warning.
-    pub fn with_persistence(path: &Path, fingerprint: &str) -> Self {
-        SharedEvalCache::with_persistence_opts(path, fingerprint, 0)
-    }
-
-    /// [`SharedEvalCache::with_persistence`] with a durability cadence:
-    /// the journal file is fsynced after every `fsync_every` appended
-    /// entries (`0` disables the periodic sync; [`SharedEvalCache::sync`]
-    /// at campaign completion still applies). A fresh journal's header is
-    /// written via a temp file and an atomic rename, so a crash during a
-    /// restart cannot leave a torn header.
-    pub fn with_persistence_opts(path: &Path, fingerprint: &str, fsync_every: usize) -> Self {
+    /// corrupt journal is restarted, and a torn trailing line is cut — the
+    /// same recovery as the run-state journal ([`JsonlJournal`]). Reloaded
+    /// hits still consume evaluation budget exactly like fresh-run hits, so
+    /// reported numbers never change with or without persistence. The file
+    /// is fsynced after every `fsync_every` appended entries (`0` disables
+    /// the periodic sync; [`SharedEvalCache::sync`] at campaign completion
+    /// still applies). All I/O failures degrade to an in-memory cache with
+    /// one warning.
+    pub fn with_persistence(path: &Path, fingerprint: &str, fsync_every: usize) -> Self {
         let mut cache = SharedEvalCache::new();
-        let preloaded = cache.load_journal(path, fingerprint);
-        let fresh = preloaded == 0 && !cache_journal_matches(path, fingerprint);
-        let opened = if fresh {
-            let header = Json::Object(vec![
-                (
-                    "version".to_string(),
-                    Json::String(CACHE_VERSION.to_string()),
-                ),
-                (
-                    "fingerprint".to_string(),
-                    Json::String(fingerprint.to_string()),
-                ),
-            ]);
-            crate::checkpoint::create_with_header(path, &header)
-        } else {
-            OpenOptions::new().append(true).open(path)
-        };
-        match opened {
-            Ok(file) => {
-                cache.journal = Some(Mutex::new(CacheJournal {
-                    file,
-                    failed: false,
-                    appends: 0,
-                    fsync_every,
-                }));
+        let header = Json::Object(vec![
+            (
+                "version".to_string(),
+                Json::String(CACHE_VERSION.to_string()),
+            ),
+            (
+                "fingerprint".to_string(),
+                Json::String(fingerprint.to_string()),
+            ),
+        ]);
+        match JsonlJournal::open(path, &header, fsync_every) {
+            Ok((journal, records)) => {
+                for (scope, key, value) in records.iter().filter_map(entry_from_doc) {
+                    lock_recovering(cache.shard(&scope, &key))
+                        .entry(scope)
+                        .or_default()
+                        .insert(key, value);
+                }
+                cache.journal = Some(Mutex::new(Some(journal)));
             }
             Err(err) => {
                 eprintln!(
@@ -183,46 +159,11 @@ impl SharedEvalCache {
     pub fn sync(&self) {
         if let Some(journal) = &self.journal {
             let mut guard = lock_recovering(journal);
-            if guard.failed {
-                return;
-            }
-            if let Err(err) = guard.file.sync_data() {
-                guard.failed = true;
+            if let Some(Err(err)) = guard.as_ref().map(JsonlJournal::sync) {
+                *guard = None;
                 eprintln!("warning: cache journal fsync failed: {err}");
             }
         }
-    }
-
-    /// Parses an existing journal into the shards; returns how many entries
-    /// were reloaded. Anything unreadable or mismatched loads nothing.
-    fn load_journal(&mut self, path: &Path, fingerprint: &str) -> usize {
-        let Ok(text) = std::fs::read_to_string(path) else {
-            return 0;
-        };
-        let mut lines = text.lines();
-        let Some(header) = lines.next().and_then(|l| parse(l).ok()) else {
-            return 0;
-        };
-        if header.get("version").and_then(Json::as_str) != Some(CACHE_VERSION)
-            || header.get("fingerprint").and_then(Json::as_str) != Some(fingerprint)
-        {
-            return 0;
-        }
-        let mut loaded = 0;
-        for line in lines {
-            let Ok(doc) = parse(line) else {
-                continue; // torn trailing line from a kill mid-write
-            };
-            let Some((scope, key, value)) = entry_from_doc(&doc) else {
-                continue;
-            };
-            lock_recovering(self.shard(&scope, &key))
-                .entry(scope.clone())
-                .or_default()
-                .insert(key, value);
-            loaded += 1;
-        }
-        loaded
     }
 
     /// A handle scoped to one benchmark at one scale, usable as an
@@ -318,48 +259,32 @@ impl SharedEvalCache {
         // The journal append happens outside the shard lock — a slow disk
         // must never serialise sibling jobs hashing to the same shard.
         if let Some(journal) = &self.journal {
-            let mut line = entry_line(scope, key, value);
-            line.push('\n');
+            let entry = entry_doc(scope, key, value);
             let mut guard = lock_recovering(journal);
-            if guard.failed {
-                return;
-            }
-            let written = guard
-                .file
-                .write_all(line.as_bytes())
-                .and_then(|()| guard.file.flush())
-                .and_then(|()| {
-                    guard.appends += 1;
-                    if guard.fsync_every > 0 && guard.appends % guard.fsync_every == 0 {
-                        guard.file.sync_data()
-                    } else {
-                        Ok(())
-                    }
-                });
-            if let Err(err) = written {
-                guard.failed = true;
+            if let Some(Err(err)) = guard.as_mut().map(|j| j.append(&entry)) {
+                *guard = None;
                 eprintln!("warning: cache journal write failed: {err}; further entries stay in memory");
             }
         }
     }
 }
 
-/// Serialises one cache entry as a single JSON line. The packed key words
-/// are stored as hex strings — the journal's numbers are `f64` and a `u64`
-/// word above 2^53 would silently lose bits as a JSON number.
-fn entry_line(scope: &str, key: &ConfigKey, value: CachedEval) -> String {
+/// One cache entry as a journal record. The packed key words are stored
+/// as hex strings — the journal's numbers are `f64` and a `u64` word above
+/// 2^53 would silently lose bits as a JSON number.
+fn entry_doc(scope: &str, key: &ConfigKey, value: CachedEval) -> Json {
     let words: Vec<Json> = key
         .words()
         .iter()
         .map(|w| Json::String(format!("{w:016x}")))
         .collect();
-    compact(&Json::Object(vec![
+    Json::Object(vec![
         ("scope".to_string(), Json::String(scope.to_string())),
         ("len".to_string(), Json::Number(key.len() as f64)),
         ("words".to_string(), Json::Array(words)),
         ("quality".to_string(), Json::Number(value.quality)),
         ("speedup".to_string(), Json::Number(value.speedup)),
-    ]))
+    ])
 }
 
 /// Rebuilds one cache entry from a journal line; anything malformed —
@@ -380,18 +305,6 @@ fn entry_from_doc(doc: &Json) -> Option<(String, ConfigKey, CachedEval)> {
         speedup: doc.get("speedup")?.as_f64()?,
     };
     Some((scope, key, value))
-}
-
-/// Whether `path` holds a cache journal whose header matches `fingerprint`.
-fn cache_journal_matches(path: &Path, fingerprint: &str) -> bool {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return false;
-    };
-    let Some(header) = text.lines().next().and_then(|l| parse(l).ok()) else {
-        return false;
-    };
-    header.get("version").and_then(Json::as_str) == Some(CACHE_VERSION)
-        && header.get("fingerprint").and_then(Json::as_str) == Some(fingerprint)
 }
 
 /// A [`SharedEvalCache`] handle bound to one *(benchmark, scale)* scope;
@@ -531,7 +444,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let key = key_of(&[1, 0, 1, 0, 1]);
         {
-            let cache = Arc::new(SharedEvalCache::with_persistence(&path, "cafebabe"));
+            let cache = Arc::new(SharedEvalCache::with_persistence(&path, "cafebabe", 0));
             let scoped = cache.scoped("tridiag", Scale::Small);
             scoped.put(
                 &key,
@@ -542,7 +455,7 @@ mod tests {
             );
         }
         // Same fingerprint: the entry is warm before any put.
-        let cache = Arc::new(SharedEvalCache::with_persistence(&path, "cafebabe"));
+        let cache = Arc::new(SharedEvalCache::with_persistence(&path, "cafebabe", 0));
         assert_eq!(cache.len(), 1);
         let back = cache
             .scoped("tridiag", Scale::Small)
@@ -551,7 +464,7 @@ mod tests {
         assert_eq!(back.quality.to_bits(), 1.5e-7_f64.to_bits());
         assert_eq!(back.speedup.to_bits(), 1.25_f64.to_bits());
         // Foreign fingerprint: the journal is discarded and restarted.
-        let other = Arc::new(SharedEvalCache::with_persistence(&path, "deadbeef"));
+        let other = Arc::new(SharedEvalCache::with_persistence(&path, "deadbeef", 0));
         assert!(other.is_empty());
         std::fs::remove_file(&path).ok();
     }
@@ -561,7 +474,7 @@ mod tests {
         let path = tmpfile("torn");
         std::fs::remove_file(&path).ok();
         {
-            let cache = Arc::new(SharedEvalCache::with_persistence(&path, "feed"));
+            let cache = Arc::new(SharedEvalCache::with_persistence(&path, "feed", 0));
             let scoped = cache.scoped("eos", Scale::Small);
             scoped.put(
                 &key_of(&[1]),
@@ -574,8 +487,20 @@ mod tests {
         let mut text = std::fs::read_to_string(&path).unwrap();
         text.push_str("{\"scope\":\"eos@small\",\"len\":1,\"wor");
         std::fs::write(&path, &text).unwrap();
-        let cache = Arc::new(SharedEvalCache::with_persistence(&path, "feed"));
-        assert_eq!(cache.len(), 1, "good line kept, torn line dropped");
+        {
+            let cache = Arc::new(SharedEvalCache::with_persistence(&path, "feed", 0));
+            assert_eq!(cache.len(), 1, "good line kept, torn line dropped");
+            cache.scoped("eos", Scale::Small).put(
+                &key_of(&[0, 1]),
+                CachedEval {
+                    quality: 0.25,
+                    speedup: 3.0,
+                },
+            );
+        }
+        // The entry appended after the tear must not be glued onto it.
+        let cache = Arc::new(SharedEvalCache::with_persistence(&path, "feed", 0));
+        assert_eq!(cache.len(), 2, "entry appended after the tear survives");
         std::fs::remove_file(&path).ok();
     }
 
@@ -591,7 +516,7 @@ mod tests {
              \"quality\":1,\"speedup\":1}\n",
         )
         .unwrap();
-        let cache = Arc::new(SharedEvalCache::with_persistence(&path, "aa"));
+        let cache = Arc::new(SharedEvalCache::with_persistence(&path, "aa", 0));
         assert!(cache.is_empty(), "garbage keys must not load");
         std::fs::remove_file(&path).ok();
     }

@@ -7,10 +7,9 @@
 //! | Table III (kernels × 6 algorithms at 1e-8) | [`table3`] |
 //! | Table IV (single- vs double-precision per application) | [`table4`] |
 //! | Table V (applications × 5 algorithms × 3 thresholds) | [`table5`] |
-//! | Figure 2a/2b (DD vs GA: clusters vs configs/speedup) | [`figure2_points`] |
-//! | Figure 3 (speedup vs evaluated configs, all scenarios) | [`figure3_points`] |
+//! | Figures 2a/2b and 3 (DD vs GA series; speedup vs evaluated configs) | [`table5`]'s cells, as the `evalsuite` binary prints them |
 
-use crate::job::{Job, JobResult};
+use crate::job::Job;
 use crate::registry::{benchmark_by_name, benchmark_names, Scale};
 use crate::scheduler::{run_jobs, JobOutcome};
 use mixp_core::{run_config, BenchmarkKind, CacheParams, CostModel};
@@ -168,77 +167,6 @@ pub fn table5(threshold: f64, scale: Scale, workers: usize) -> Vec<Vec<JobOutcom
         .collect()
 }
 
-/// One point of Figures 2 and 3.
-#[derive(Debug, Clone)]
-pub struct FigPoint {
-    /// Benchmark name.
-    pub benchmark: String,
-    /// Algorithm short name.
-    pub algorithm: String,
-    /// Threshold of the run.
-    pub threshold: f64,
-    /// Application complexity (total clusters) — the x-axis of Figure 2.
-    pub clusters: usize,
-    /// Configurations evaluated — the y-axis of Figure 2a.
-    pub evaluated: usize,
-    /// Best speedup found — the y-axis of Figures 2b and 3 (`None` for DNF
-    /// or no passing configuration).
-    pub speedup: Option<f64>,
-}
-
-impl FigPoint {
-    fn from_result(r: &JobResult) -> Self {
-        FigPoint {
-            benchmark: r.benchmark.clone(),
-            algorithm: r.algorithm.clone(),
-            threshold: r.threshold,
-            clusters: r.clusters,
-            evaluated: r.result.evaluated,
-            speedup: r.result.speedup(),
-        }
-    }
-}
-
-/// A figure plots completed cells only: failed outcomes have no point.
-fn points_of(outcomes: &[JobOutcome]) -> Vec<FigPoint> {
-    outcomes
-        .iter()
-        .filter_map(JobOutcome::result)
-        .map(FigPoint::from_result)
-        .collect()
-}
-
-/// Regenerates the Figure 2a/2b series: DD and GA over all applications and
-/// all three thresholds, correlating application complexity (clusters) with
-/// evaluated configurations (2a) and achieved speedup (2b).
-pub fn figure2_points(scale: Scale, workers: usize) -> Vec<FigPoint> {
-    let jobs: Vec<Job> = application_names()
-        .iter()
-        .flat_map(|b| {
-            TABLE5_THRESHOLDS.iter().flat_map(move |t| {
-                ["DD", "GA"].into_iter().map(move |a| Job::new(b, a, *t, scale))
-            })
-        })
-        .collect();
-    points_of(&run_jobs(&jobs, workers))
-}
-
-/// Regenerates the Figure 3 scatter: speedup versus the number of tested
-/// configurations over *all* search scenarios (every application, all five
-/// algorithms, all three thresholds).
-pub fn figure3_points(scale: Scale, workers: usize) -> Vec<FigPoint> {
-    TABLE5_THRESHOLDS
-        .iter()
-        .flat_map(|t| {
-            let groups = table5(*t, scale, workers);
-            groups
-                .iter()
-                .flat_map(|group| points_of(group))
-                .collect::<Vec<_>>()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,12 +212,5 @@ mod tests {
             let cb = row[0].result().expect("kernel cells succeed");
             assert!(!cb.result.dnf, "{}", cb.benchmark);
         }
-    }
-
-    #[test]
-    fn figure2_covers_dd_and_ga() {
-        let pts = figure2_points(Scale::Small, 8);
-        assert_eq!(pts.len(), 7 * 3 * 2);
-        assert!(pts.iter().all(|p| p.algorithm == "DD" || p.algorithm == "GA"));
     }
 }

@@ -29,6 +29,9 @@
 //! * [`checkpoint`] — append-only run-state journal so a killed campaign
 //!   resumes without re-running finished cells (failed cells are journaled
 //!   too and reported on resume).
+//! * [`journal`] — the one crash-safe JSON-lines file format behind the
+//!   run-state journal, the cache journal and the campaign service's queue
+//!   journal: header check, appends on an fsync cadence, torn-tail cut.
 //! * [`experiments`] — the data generators behind every table and figure of
 //!   the paper's evaluation (Tables I–V, Figures 2–3).
 //! * [`report`] — plain-text table rendering.
@@ -67,6 +70,7 @@ pub mod experiments;
 pub mod faultplan;
 pub mod interchange;
 pub mod job;
+pub mod journal;
 pub mod json;
 pub mod registry;
 pub mod report;

@@ -341,7 +341,7 @@ pub fn run_campaign_with_stats(
     let mut restored: Vec<Option<Result<JobResult, JobError>>> = vec![None; jobs.len()];
     let journal = match &opts.checkpoint {
         None => None,
-        Some(path) => match Journal::open_with(path, jobs, opts.fsync_every) {
+        Some(path) => match Journal::open(path, jobs, opts.fsync_every) {
             Ok((journal, state)) => {
                 for (index, result) in state.completed {
                     restored[index] = Some(Ok(result));
@@ -376,7 +376,7 @@ pub fn run_campaign_with_stats(
             Some(path) => {
                 let mut cache_path = path.as_os_str().to_os_string();
                 cache_path.push(".cache.jsonl");
-                SharedEvalCache::with_persistence_opts(
+                SharedEvalCache::with_persistence(
                     std::path::Path::new(&cache_path),
                     &crate::checkpoint::fingerprint(jobs),
                     opts.fsync_every,

@@ -127,38 +127,6 @@ impl Deque {
         }
     }
 
-    /// Thief: steals up to half of the victim's observed tasks (rounded up,
-    /// capped by `out.len()`), oldest first. Returns how many slots of `out`
-    /// were filled; `0` means the deque looked empty.
-    ///
-    /// Deliberately a loop of the proven single-element [`Deque::steal`]
-    /// rather than one width-`k` CAS of `top`: the owner's multi-element
-    /// [`Deque::pop`] path takes `bottom - 1` *without* touching `top`
-    /// whenever it observes `top < bottom - 1`, so a thief that claimed the
-    /// range `t..t+k` in one CAS could race the owner onto a slot inside
-    /// that range and hand the same claimer out twice. Per-element CAS keeps
-    /// the original safety argument intact; the batching win — one victim
-    /// visit migrates a whole claim-front — is preserved, and an early
-    /// `None` (another thief or the owner drained it first) just ends the
-    /// batch short.
-    pub(crate) fn steal_batch(&self, out: &mut [*const BatchShared]) -> usize {
-        let t = self.top.load(Ordering::Acquire);
-        let b = self.bottom.load(Ordering::Acquire);
-        let observed = (b - t).max(0) as usize;
-        let want = observed.div_ceil(2).min(out.len());
-        let mut taken = 0;
-        while taken < want {
-            match self.steal() {
-                Some(task) => {
-                    out[taken] = task;
-                    taken += 1;
-                }
-                None => break,
-            }
-        }
-        taken
-    }
-
     /// Whether the deque currently looks non-empty. Advisory — used only
     /// for the workers' sleep/retry decision, never for correctness.
     pub(crate) fn has_work(&self) -> bool {
@@ -210,97 +178,6 @@ mod tests {
         assert!(d.has_work());
         assert_eq!(d.pop(), Some(ptr(7)));
         assert!(!d.has_work());
-    }
-
-    #[test]
-    fn steal_batch_takes_half_rounded_up_oldest_first() {
-        let d = Deque::new();
-        for i in 0..5 {
-            d.push(ptr(i)).unwrap();
-        }
-        let mut buf = [std::ptr::null::<BatchShared>(); 8];
-        let taken = d.steal_batch(&mut buf);
-        assert_eq!(taken, 3, "5 tasks -> half rounded up");
-        assert_eq!(&buf[..3], &[ptr(0), ptr(1), ptr(2)], "FIFO order");
-        // The owner keeps the newer half.
-        assert_eq!(d.pop(), Some(ptr(4)));
-        assert_eq!(d.pop(), Some(ptr(3)));
-        assert_eq!(d.pop(), None);
-    }
-
-    #[test]
-    fn steal_batch_respects_buffer_capacity_and_empty_deques() {
-        let d = Deque::new();
-        let mut buf = [std::ptr::null::<BatchShared>(); 2];
-        assert_eq!(d.steal_batch(&mut buf), 0, "empty deque steals nothing");
-        for i in 0..10 {
-            d.push(ptr(i)).unwrap();
-        }
-        assert_eq!(d.steal_batch(&mut buf), 2, "capped by the buffer");
-        assert_eq!(&buf[..], &[ptr(0), ptr(1)]);
-        // A single remaining task is still taken (half of 1 rounds up).
-        let d1 = Deque::new();
-        d1.push(ptr(42)).unwrap();
-        assert_eq!(d1.steal_batch(&mut buf), 1);
-        assert_eq!(buf[0], ptr(42));
-    }
-
-    #[test]
-    fn concurrent_batch_thieves_and_owner_lose_nothing() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::{Arc, Mutex};
-
-        const PUSHES: usize = 2000;
-        let deque = Arc::new(Deque::new());
-        let taken: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
-        let done = Arc::new(AtomicBool::new(false));
-
-        let thieves: Vec<_> = (0..3)
-            .map(|_| {
-                let deque = Arc::clone(&deque);
-                let taken = Arc::clone(&taken);
-                let done = Arc::clone(&done);
-                std::thread::spawn(move || {
-                    let mut buf = [std::ptr::null::<BatchShared>(); 4];
-                    loop {
-                        match deque.steal_batch(&mut buf) {
-                            0 if done.load(Ordering::Acquire) => break,
-                            0 => std::hint::spin_loop(),
-                            n => {
-                                let mut got = taken.lock().unwrap();
-                                got.extend(buf[..n].iter().map(|&p| p as usize));
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-
-        let mut owner_got = Vec::new();
-        let mut next = 0;
-        while next < PUSHES {
-            for _ in 0..3 {
-                if next < PUSHES && deque.push(ptr(next)).is_ok() {
-                    next += 1;
-                }
-            }
-            if let Some(task) = deque.pop() {
-                owner_got.push(task as usize);
-            }
-        }
-        while let Some(task) = deque.pop() {
-            owner_got.push(task as usize);
-        }
-        done.store(true, Ordering::Release);
-        for t in thieves {
-            t.join().unwrap();
-        }
-
-        let mut all: Vec<usize> = taken.lock().unwrap().clone();
-        all.extend(owner_got);
-        all.sort_unstable();
-        let expected: Vec<usize> = (0..PUSHES).map(|i| ptr(i) as usize).collect();
-        assert_eq!(all, expected, "every task claimed exactly once");
     }
 
     #[test]

@@ -40,20 +40,10 @@
 //! batch caller (`resume_unwind`), and neither the pool nor its workers die
 //! with it: job-level panic isolation keeps working unchanged.
 //!
-//! # Steal policy
-//!
-//! `MIXP_STEAL` picks how a worker raids a sibling's deque: `one` (default)
-//! takes the single oldest task per visit — the classic Chase–Lev steal —
-//! and `half` ([`StealPolicy::Half`]) migrates up to half the victim's
-//! observed tasks in one visit, executing the oldest and parking the rest
-//! on the thief's own deque. Half-stealing trades a little per-steal work
-//! for fewer victim round-trips when many tiny batches are in flight (DD's
-//! frontier shape); both policies are observably identical in results.
-//!
 //! Zero dependencies outside the workspace; `mixp-obs` (itself
 //! dependency-free) provides the gauges and counters that make the thread
 //! accounting observable: `pool.live_threads`, `pool.peak_threads`,
-//! `pool.created`, `pool.steals`, `pool.steal_batch`, `pool.batches`,
+//! `pool.created`, `pool.steals`, `pool.batches`,
 //! `pool.injector_depth`.
 
 mod batch;
@@ -118,61 +108,6 @@ pub fn env_workers() -> Option<usize> {
     }
 }
 
-/// How a worker steals from a sibling's deque. Selected process-wide by the
-/// `MIXP_STEAL` environment variable (`one` / `half`, default `one`) or per
-/// pool via [`Pool::with_steal_policy`]. Purely a scheduling knob: batch
-/// results are bit-identical under either policy.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum StealPolicy {
-    /// Take the single oldest task per victim visit (classic Chase–Lev).
-    #[default]
-    One,
-    /// Take up to half the victim's observed tasks in one visit: the thief
-    /// executes the oldest and parks the rest on its own deque (overflow
-    /// routes through the injector), so a busy sibling's claim-front
-    /// migrates wholesale instead of trickling one task per visit.
-    Half,
-}
-
-/// Parses a `MIXP_STEAL` value: `Ok(Some(policy))` for `one`/`half`
-/// (case-insensitive), `Ok(None)` for unset/empty, `Err(message)` for
-/// anything else. Pure — the process-wide warn-once lives in [`env_steal`].
-pub fn parse_steal(raw: &str) -> Result<Option<StealPolicy>, String> {
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return Ok(None);
-    }
-    match trimmed.to_ascii_lowercase().as_str() {
-        "one" => Ok(Some(StealPolicy::One)),
-        "half" => Ok(Some(StealPolicy::Half)),
-        _ => Err(format!(
-            "ignoring invalid MIXP_STEAL value {raw:?} (want \"one\" or \"half\")"
-        )),
-    }
-}
-
-/// The steal policy implied by the `MIXP_STEAL` environment variable,
-/// defaulting to [`StealPolicy::One`]; invalid values warn **once per
-/// process** and fall back to the default, mirroring [`env_workers`].
-pub fn env_steal() -> StealPolicy {
-    static WARNED: AtomicBool = AtomicBool::new(false);
-    match std::env::var("MIXP_STEAL") {
-        Err(_) => StealPolicy::One,
-        Ok(raw) => match parse_steal(&raw) {
-            Ok(policy) => policy.unwrap_or_default(),
-            Err(message) => {
-                warn_once_with(&WARNED, &message);
-                StealPolicy::One
-            }
-        },
-    }
-}
-
-/// Upper bound on one half-steal visit. Deques hold batch *claimers* (at
-/// most `workers - 1` per in-flight batch), so a small fixed buffer covers
-/// every realistic depth without a heap allocation on the steal path.
-const STEAL_BATCH_CAP: usize = 8;
-
 /// A task pointer travelling through the injector queue. Points at a
 /// caller-stack `BatchShared` kept alive by the claimer latch.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -221,7 +156,6 @@ struct PoolInner {
     join: Mutex<Vec<Option<std::thread::JoinHandle<()>>>>,
     live: AtomicUsize,
     peak: AtomicUsize,
-    steal: StealPolicy,
     obs: Obs,
 }
 
@@ -281,51 +215,12 @@ impl PoolInner {
         let n = self.deques.len();
         for offset in 1..n {
             let victim = (slot.index + offset) % n;
-            match self.steal {
-                StealPolicy::One => {
-                    if let Some(task) = self.deques[victim].steal() {
-                        self.obs.counter_add("pool.steals", 1);
-                        return Ok(Some(task));
-                    }
-                }
-                StealPolicy::Half => {
-                    let mut buf = [std::ptr::null::<BatchShared>(); STEAL_BATCH_CAP];
-                    let taken = self.deques[victim].steal_batch(&mut buf);
-                    if taken > 0 {
-                        self.obs.counter_add("pool.steals", taken as u64);
-                        self.obs.counter_add("pool.steal_batch", 1);
-                        self.park_extras(slot, &buf[1..taken]);
-                        return Ok(Some(buf[0]));
-                    }
-                }
+            if let Some(task) = self.deques[victim].steal() {
+                self.obs.counter_add("pool.steals", 1);
+                return Ok(Some(task));
             }
         }
         Ok(None)
-    }
-
-    /// Parks surplus half-stolen tasks on the thief's own deque so siblings
-    /// can re-steal them. Anything that does not fit — or everything, if the
-    /// thief's slot was quarantined since the pop at the top of
-    /// [`PoolInner::find_task`] — goes through the injector instead: a
-    /// claimer, once stolen, must never be dropped.
-    fn park_extras(&self, slot: WorkerSlot, extras: &[*const BatchShared]) {
-        if extras.is_empty() {
-            return;
-        }
-        let mut spill: Vec<TaskPtr> = Vec::new();
-        let parked = self.with_ownership(slot, |deque| {
-            for &task in extras {
-                if let Err(task) = deque.push(task) {
-                    spill.push(TaskPtr(task));
-                }
-            }
-        });
-        if parked.is_none() {
-            spill = extras.iter().map(|&task| TaskPtr(task)).collect();
-        }
-        if !spill.is_empty() {
-            self.inject_and_notify(&spill);
-        }
     }
 }
 
@@ -405,17 +300,7 @@ impl Pool {
     /// a nested campaign under `MIXP_WORKERS=4` holds at most 3 pool
     /// threads plus the calling thread. `parallelism <= 1` spawns no
     /// threads at all — `run_batch` degenerates to the sequential loop.
-    ///
-    /// The steal policy comes from `MIXP_STEAL` (see [`env_steal`]); use
-    /// [`Pool::with_steal_policy`] to pin it explicitly (tests, A/B
-    /// benches) without touching process state.
     pub fn new(parallelism: usize, obs: Obs) -> Pool {
-        Pool::with_steal_policy(parallelism, obs, env_steal())
-    }
-
-    /// [`Pool::new`] with an explicit [`StealPolicy`] instead of the
-    /// `MIXP_STEAL` environment default.
-    pub fn with_steal_policy(parallelism: usize, obs: Obs, steal: StealPolicy) -> Pool {
         let threads = parallelism.saturating_sub(1);
         let inner = Arc::new(PoolInner {
             deques: (0..threads).map(|_| Deque::new()).collect(),
@@ -429,7 +314,6 @@ impl Pool {
             join: Mutex::new(Vec::new()),
             live: AtomicUsize::new(0),
             peak: AtomicUsize::new(0),
-            steal,
             obs,
         });
         inner.obs.counter_add("pool.created", 1);
@@ -462,11 +346,6 @@ impl Pool {
     /// The configured parallelism: worker threads plus the caller.
     pub fn parallelism(&self) -> usize {
         self.inner.deques.len() + 1
-    }
-
-    /// The steal policy this pool was built with.
-    pub fn steal_policy(&self) -> StealPolicy {
-        self.inner.steal
     }
 
     /// The worker index of the calling thread on *some* pool, if it is a
@@ -838,6 +717,9 @@ mod tests {
                 assert_eq!(hit.load(Ordering::Relaxed), 1, "outer {o} inner {i}");
             }
         }
+        // Workers publish `pool.peak_threads` when they start; dropping the
+        // last handle joins them, so every spawned worker has published.
+        drop(pool);
         let snap = obs.metrics_snapshot().expect("enabled");
         assert_eq!(
             snap.counters["pool.created"], 1,
@@ -1025,9 +907,7 @@ mod tests {
     }
 
     // The env-reading tests mutate process-global variables: they serialise
-    // on one mutex and restore the prior value. Pool-construction tests do
-    // read MIXP_STEAL (via Pool::new), but any value they might observe
-    // mid-mutation only selects a scheduling policy, never an outcome.
+    // on one mutex and restore the prior value.
     fn with_env<T>(name: &str, value: Option<&str>, run: impl FnOnce() -> T) -> T {
         static ENV_LOCK: Mutex<()> = Mutex::new(());
         let _guard = lock_recovering(&ENV_LOCK);
@@ -1054,72 +934,5 @@ mod tests {
         // the once-ness deterministically).
         with_env(var, Some("banana"), || assert_eq!(env_workers(), None));
         with_env(var, Some("0"), || assert_eq!(env_workers(), None));
-    }
-
-    #[test]
-    fn parse_steal_accepts_one_and_half_only() {
-        assert_eq!(parse_steal("one"), Ok(Some(StealPolicy::One)));
-        assert_eq!(parse_steal(" HALF "), Ok(Some(StealPolicy::Half)));
-        assert_eq!(parse_steal(""), Ok(None));
-        assert_eq!(parse_steal("   "), Ok(None));
-        for bad in ["two", "0.5", "halff", "all"] {
-            let err = parse_steal(bad).expect_err(bad);
-            assert!(err.contains("MIXP_STEAL"), "{err}");
-            assert!(err.contains(bad), "{err}");
-        }
-    }
-
-    #[test]
-    fn env_steal_reads_parses_and_falls_back() {
-        let var = "MIXP_STEAL";
-        with_env(var, None, || assert_eq!(env_steal(), StealPolicy::One));
-        with_env(var, Some("half"), || {
-            assert_eq!(env_steal(), StealPolicy::Half);
-            let pool = Pool::sized(2);
-            assert_eq!(pool.steal_policy(), StealPolicy::Half, "Pool::new honours the knob");
-        });
-        with_env(var, Some("nonsense"), || assert_eq!(env_steal(), StealPolicy::One));
-    }
-
-    #[test]
-    fn half_steal_pool_runs_every_index_exactly_once() {
-        let obs = Obs::in_memory();
-        let pool = Pool::with_steal_policy(4, obs.clone(), StealPolicy::Half);
-        assert_eq!(pool.steal_policy(), StealPolicy::Half);
-        // Many small batches — the DD frontier shape half-stealing targets.
-        for _ in 0..50 {
-            let hits: Vec<AtomicUsize> = (0..12).map(|_| AtomicUsize::new(0)).collect();
-            pool.run_batch(hits.len(), |i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
-            for (i, hit) in hits.iter().enumerate() {
-                assert_eq!(hit.load(Ordering::Relaxed), 1, "item {i}");
-            }
-        }
-        // Steal traffic is schedule-dependent, but whenever a half-steal
-        // happened the task counter must cover at least one task per visit.
-        let snap = obs.metrics_snapshot().expect("enabled");
-        let visits = snap.counters.get("pool.steal_batch").copied().unwrap_or(0);
-        let tasks = snap.counters.get("pool.steals").copied().unwrap_or(0);
-        assert!(tasks >= visits, "steals {tasks} >= batch visits {visits}");
-    }
-
-    #[test]
-    fn nested_batches_work_under_half_stealing() {
-        let pool = Pool::with_steal_policy(3, Obs::noop(), StealPolicy::Half);
-        let hits: Vec<Vec<AtomicUsize>> = (0..4)
-            .map(|_| (0..8).map(|_| AtomicUsize::new(0)).collect())
-            .collect();
-        pool.run_batch(4, |outer| {
-            let ambient = Pool::current().expect("ambient pool visible");
-            ambient.run_batch(8, |inner| {
-                hits[outer][inner].fetch_add(1, Ordering::Relaxed);
-            });
-        });
-        for (o, row) in hits.iter().enumerate() {
-            for (i, hit) in row.iter().enumerate() {
-                assert_eq!(hit.load(Ordering::Relaxed), 1, "outer {o} inner {i}");
-            }
-        }
     }
 }

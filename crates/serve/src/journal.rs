@@ -1,10 +1,12 @@
 //! The daemon's durable queue journal: admissions, cancellations and cell
 //! outcomes, append-only, torn-line tolerant.
 //!
-//! The format rides on the run-state checkpoint primitives
-//! ([`mixp_harness::checkpoint`]): one header line, then one compact JSON
+//! The file is a [`JsonlJournal`]: one header line, then one compact JSON
 //! object per event, each written as a single line so a `SIGKILL`
-//! mid-write can tear at most the final line (which replay skips). Events:
+//! mid-write can tear at most the final line (which the next open cuts
+//! before appending). Appends are flushed to the kernel, which survives a
+//! process kill, but not fsynced; the daemon syncs at graceful shutdown.
+//! Events:
 //!
 //! ```text
 //! {"version":"mixp-serve-queue-1"}
@@ -37,14 +39,11 @@
 
 use crate::protocol::{job_doc, job_from_doc, options_from_doc, options_members};
 use crate::state::{Campaign, CellSlot};
-use mixp_harness::checkpoint::{
-    compact, create_with_header, failure_doc, failure_from_line, result_doc, result_from_line,
-};
-use mixp_harness::json::{parse, Json};
+use mixp_harness::checkpoint::{failure_doc, failure_from_line, result_doc, result_from_line};
+use mixp_harness::journal::JsonlJournal;
+use mixp_harness::json::Json;
 use mixp_harness::{Job, JobError, JobResult};
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::Write;
 use std::path::Path;
 
 /// Version tag in the journal header.
@@ -53,7 +52,7 @@ pub const QUEUE_VERSION: &str = "mixp-serve-queue-1";
 /// An open, append-mode queue journal.
 #[derive(Debug)]
 pub struct QueueJournal {
-    file: File,
+    journal: JsonlJournal,
 }
 
 impl QueueJournal {
@@ -66,30 +65,17 @@ impl QueueJournal {
     /// Returns the underlying I/O error if the file cannot be created or
     /// opened for append.
     pub fn open(path: &Path) -> std::io::Result<(QueueJournal, Vec<Campaign>)> {
-        let campaigns = replay(path);
-        let header_ok = std::fs::read_to_string(path)
-            .ok()
-            .and_then(|text| text.lines().next().and_then(|l| parse(l).ok()))
-            .map(|h| h.get("version").and_then(Json::as_str) == Some(QUEUE_VERSION))
-            .unwrap_or(false);
-        let file = if header_ok {
-            OpenOptions::new().append(true).open(path)?
-        } else {
-            let header = Json::Object(vec![(
-                "version".to_string(),
-                Json::String(QUEUE_VERSION.to_string()),
-            )]);
-            create_with_header(path, &header)?
-        };
-        Ok((QueueJournal { file }, campaigns))
+        let header = Json::Object(vec![(
+            "version".to_string(),
+            Json::String(QUEUE_VERSION.to_string()),
+        )]);
+        let (journal, records) = JsonlJournal::open(path, &header, 0)?;
+        Ok((QueueJournal { journal }, replay(&records)))
     }
 
     fn append(&mut self, mut members: Vec<(String, Json)>, kind: &str) -> std::io::Result<()> {
         members.insert(0, ("type".to_string(), Json::String(kind.to_string())));
-        let mut line = compact(&Json::Object(members));
-        line.push('\n');
-        self.file.write_all(line.as_bytes())?;
-        self.file.flush()
+        self.journal.append(&Json::Object(members))
     }
 
     /// Journals one admission, durably enough to survive a process kill
@@ -191,37 +177,22 @@ impl QueueJournal {
     ///
     /// Returns the underlying I/O error on a failed fsync.
     pub fn sync(&mut self) -> std::io::Result<()> {
-        self.file.sync_data()
+        self.journal.sync()
     }
 }
 
-/// Replays a journal into the campaigns it describes. Any unreadable file,
-/// bad header, torn line or unknown event degrades to "less recovered",
-/// never to an error — restart must always come up.
-fn replay(path: &Path) -> Vec<Campaign> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    let mut lines = text.lines();
-    let header_ok = lines
-        .next()
-        .and_then(|l| parse(l).ok())
-        .map(|h| h.get("version").and_then(Json::as_str) == Some(QUEUE_VERSION))
-        .unwrap_or(false);
-    if !header_ok {
-        return Vec::new();
-    }
+/// Replays journal records into the campaigns they describe. Any record
+/// that does not decode, and any unknown event, degrades to "less
+/// recovered", never to an error — restart must always come up.
+fn replay(records: &[Json]) -> Vec<Campaign> {
     let mut campaigns: BTreeMap<u64, Campaign> = BTreeMap::new();
-    for line in lines {
-        let Ok(doc) = parse(line) else {
-            continue; // torn line from a kill mid-write
-        };
+    for doc in records {
         let Some(kind) = doc.get("type").and_then(Json::as_str) else {
             continue;
         };
         match kind {
             "campaign" => {
-                let Some(campaign) = campaign_from_doc(&doc) else {
+                let Some(campaign) = campaign_from_doc(doc) else {
                     continue;
                 };
                 campaigns.insert(campaign.id, campaign);
@@ -238,9 +209,9 @@ fn replay(path: &Path) -> Vec<Campaign> {
                     .and_then(Json::as_f64)
                     .unwrap_or(0.0) as u32;
                 let decoded = if kind == "cell" {
-                    result_from_line(&doc, &campaign.jobs).map(|(i, r)| (i, Ok(r)))
+                    result_from_line(doc, &campaign.jobs).map(|(i, r)| (i, Ok(r)))
                 } else {
-                    failure_from_line(&doc, &campaign.jobs).map(|(i, e)| (i, Err(e)))
+                    failure_from_line(doc, &campaign.jobs).map(|(i, e)| (i, Err(e)))
                 };
                 let Some((index, outcome)) = decoded else {
                     continue;
@@ -485,15 +456,23 @@ mod tests {
         {
             let (mut journal, _) = QueueJournal::open(&path).unwrap();
             journal
-                .record_admission(&campaign(1, "t0", jobs))
+                .record_admission(&campaign(1, "t0", jobs.clone()))
                 .unwrap();
         }
         let mut text = std::fs::read_to_string(&path).unwrap();
         text.push_str("{\"type\":\"mystery\"}\nnot json at all\n{\"type\":\"camp");
         std::fs::write(&path, &text).unwrap();
+        {
+            let (mut journal, restored) = QueueJournal::open(&path).unwrap();
+            assert_eq!(restored.len(), 1, "good lines survive the debris");
+            // And the journal is still appendable afterwards.
+            journal
+                .record_admission(&campaign(2, "t0", jobs.clone()))
+                .unwrap();
+        }
         let (_, restored) = QueueJournal::open(&path).unwrap();
-        assert_eq!(restored.len(), 1, "good lines survive the debris");
-        // And the journal is still appendable afterwards.
+        let ids: Vec<u64> = restored.iter().map(|c| c.id).collect();
+        assert_eq!(ids, vec![1, 2], "the admission appended after the tear survives");
         std::fs::remove_file(&path).ok();
     }
 

@@ -26,7 +26,9 @@
 # `mixp-ir` crate must stay dependency-free with precision semantics
 # confined to its round.rs/plan.rs so plans stay bit-identical to the
 # direct path, and Unix-domain-socket use must stay confined to
-# `crates/serve` so the batch harness keeps zero network surface.
+# `crates/serve` so the batch harness keeps zero network surface, and
+# fsync/rename/OpenOptions must stay confined to the one crash-safe
+# journal module.
 #
 # Finally the loadgen fleet runs in quick mode (MIXP_LOADGEN_QUICK=1):
 # a real daemon, concurrent multi-tenant clients, fault injection, a
@@ -38,7 +40,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== [1/10] grep guard: only path dependencies allowed =="
+echo "== [1/11] grep guard: only path dependencies allowed =="
 violations=$(find . -name Cargo.toml -not -path './target/*' -print0 | xargs -0 awk '
   FNR == 1 { section = "" }
   /^\[/ { section = $0 }
@@ -54,16 +56,17 @@ if [ -n "$violations" ]; then
 fi
 echo "ok: no non-path dependencies"
 
-echo "== [2/10] panic guard: fault-tolerant harness paths must not panic =="
+echo "== [2/11] panic guard: fault-tolerant harness paths must not panic =="
 # The campaign execution path promises typed errors instead of aborts:
 # no unwrap()/expect()/panic! in non-test code of the scheduler, job,
-# checkpoint, faultplan, watchdog and cancellation modules. Test modules
+# checkpoint, journal, faultplan, watchdog and cancellation modules. Test modules
 # (below the #[cfg(test)] marker) are exempt, as is the deliberate
 # `injected fault` panic that the fault injector uses to *simulate* a
 # crashing benchmark.
 panic_violations=$(for f in crates/harness/src/job.rs \
                             crates/harness/src/scheduler.rs \
                             crates/harness/src/checkpoint.rs \
+                            crates/harness/src/journal.rs \
                             crates/harness/src/faultplan.rs \
                             crates/harness/src/evalcache.rs \
                             crates/harness/src/watchdog.rs \
@@ -83,7 +86,7 @@ if [ -n "$panic_violations" ]; then
 fi
 echo "ok: campaign execution paths are panic-free"
 
-echo "== [3/10] fast-path guard: benchmark hot loops must use the bulk layer =="
+echo "== [3/11] fast-path guard: benchmark hot loops must use the bulk layer =="
 # The speedup model's wall-clock claims rest on benchmarks going through
 # the MpVec fast path: per-handle cached rounding and bulk accounting.
 # Reaching around it — rounding manually with `round_to`, or reading
@@ -110,7 +113,7 @@ if [ -n "$fastpath_violations" ]; then
 fi
 echo "ok: kernels and apps stay on the bulk/fast-path API"
 
-echo "== [4/10] obs purity guard: zero deps, wall clock quarantined in clock.rs =="
+echo "== [4/11] obs purity guard: zero deps, wall clock quarantined in clock.rs =="
 # The observability crate underpins the determinism story twice over: it
 # must stay dependency-free (it is linked into every other crate), and its
 # trace/metrics layers must never read wall-clock time themselves — all
@@ -141,7 +144,7 @@ if [ -n "$obs_clock_violations" ]; then
 fi
 echo "ok: crates/obs is dependency-free and logically clocked"
 
-echo "== [5/10] thread-confinement guard: raw threads only inside crates/pool =="
+echo "== [5/11] thread-confinement guard: raw threads only inside crates/pool =="
 # The oversubscription fix rests on one invariant: all parallelism flows
 # through the work-stealing pool, sized once by MIXP_WORKERS. Raw
 # `thread::spawn`/`thread::scope`/`thread::Builder` anywhere else quietly
@@ -171,7 +174,7 @@ if [ -n "$thread_violations" ]; then
 fi
 echo "ok: thread creation is confined to the pool crate"
 
-echo "== [6/10] IR purity guard: crates/ir dependency-free and precision-agnostic =="
+echo "== [6/11] IR purity guard: crates/ir dependency-free and precision-agnostic =="
 # The program IR is the layer future backends hang off, so it must know
 # nothing about ExecCtx, tracers or benchmarks: its Cargo.toml declares no
 # dependencies at all (not even workspace ones). Precision semantics are
@@ -207,7 +210,7 @@ if [ -n "$ir_purity_violations" ]; then
 fi
 echo "ok: crates/ir is dependency-free and precision-agnostic outside round.rs/plan.rs"
 
-echo "== [7/10] socket-confinement guard: Unix sockets only inside crates/serve =="
+echo "== [7/11] socket-confinement guard: Unix sockets only inside crates/serve =="
 # The campaign service is deliberately the workspace's only network-ish
 # surface, and a Unix-domain one at that. `UnixListener`/`UnixStream`
 # creeping into any other crate would give the batch harness an ambient
@@ -228,7 +231,28 @@ if [ -n "$socket_violations" ]; then
 fi
 echo "ok: socket use is confined to the serve crate"
 
-echo "== [8/10] offline build + test with an empty CARGO_HOME =="
+echo "== [8/11] durable-file guard: fsync, rename and OpenOptions only in the journal =="
+# Every crash-safe campaign file (run-state, eval cache, queue journal)
+# goes through crates/harness/src/journal.rs, which owns the header
+# check, the tmp + fsync + rename restart, the append/fsync cadence and
+# the torn-tail cut. `sync_data`/`sync_all`/`fs::rename`/`OpenOptions`
+# anywhere else means a second durable-file path with its own crash
+# rules. Test modules and comments are exempt.
+durable_violations=$(find crates -name '*.rs' -not -path 'crates/harness/src/journal.rs' -print0 | \
+  xargs -0 -n1 awk '
+    /#\[cfg\(test\)\]/ { exit }
+    /sync_data|sync_all|fs::rename|OpenOptions/ && !/^[[:space:]]*\/\// {
+      printf "%s:%d: %s\n", FILENAME, FNR, $0
+    }
+  ')
+if [ -n "$durable_violations" ]; then
+  echo "$durable_violations"
+  echo "error: durable-file I/O outside crates/harness/src/journal.rs — append through JsonlJournal instead" >&2
+  exit 1
+fi
+echo "ok: durable-file I/O is confined to the journal module"
+
+echo "== [9/11] offline build + test with an empty CARGO_HOME =="
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 export CARGO_HOME="$tmp/cargo_home"
@@ -237,10 +261,10 @@ mkdir -p "$CARGO_HOME"
 cargo build --release --offline
 cargo test -q --offline
 
-echo "== [9/10] bench smoke: every [[bench]] target runs under MIXP_BENCH_QUICK =="
+echo "== [10/11] bench smoke: every [[bench]] target runs under MIXP_BENCH_QUICK =="
 MIXP_BENCH_QUICK=1 cargo bench --offline
 
-echo "== [10/10] loadgen smoke: the campaign-service fleet in quick mode =="
+echo "== [11/11] loadgen smoke: the campaign-service fleet in quick mode =="
 # Spawns a real daemon, drives it with concurrent multi-tenant clients,
 # SIGKILLs and restarts it mid-run, and asserts terminal states, exact
 # quota accounting and bit-identical outcomes. Quick mode keeps it to a
