@@ -4,21 +4,19 @@
 //! 4-worker batch should be at least ~2x faster than the sequential
 //! loop); the committed baseline lives in `BENCH_evaluator.json`.
 //!
-//! The kernels are IR-ported, so every evaluation runs through a
-//! config-specialized execution plan. The `sequential-1w` and `batch-4w`
-//! arms share one `PlanCache` and one `ReferenceCache` per kernel across
-//! iterations — the shape of a real search campaign, where each
-//! configuration fingerprint compiles once, the all-double reference runs
-//! once, and every later evaluation interprets cached plans against the
-//! memoised reference. The `sequential-1w-cold` arm uses fresh caches per
-//! evaluator, so each iteration pays the full compile cost and the
-//! reference run again; the spread between the two is the warm-up cost
-//! the caches amortise.
+//! The kernels are IR-ported, so every evaluation compiles a
+//! config-specialized execution plan, runs it and drops it. The
+//! `sequential-1w` and `batch-4w` arms share one `ReferenceCache` per
+//! kernel across iterations, so they time the frontier's evaluations
+//! alone. The `sequential-1w-cold` arm builds a fresh evaluator without
+//! one, so each iteration also pays the all-double reference run, as
+//! every campaign cell does today (`run_cell` attaches no
+//! `ReferenceCache`); the spread between the two is the reference cost.
+//! Neither shape is a search campaign's: campaigns share neither plans
+//! nor references between cells.
 
 use mixp_core::perf::bench::{black_box, BenchGroup};
-use mixp_core::{
-    Benchmark, EvaluatorBuilder, PlanCache, PrecisionConfig, QualityThreshold, ReferenceCache,
-};
+use mixp_core::{Benchmark, EvaluatorBuilder, PrecisionConfig, QualityThreshold, ReferenceCache};
 use mixp_harness::{benchmark_by_name, Scale};
 use std::sync::Arc;
 use std::time::Duration;
@@ -47,11 +45,8 @@ fn main() {
         .measurement_time(Duration::from_secs(3))
         .sample_size(10);
     for name in ["eos", "hydro-1d", "iccg"] {
-        // One plan cache and one reference cache per kernel: plan
-        // fingerprints are keyed by the precision configuration and the
-        // reference is benchmark-specific, so neither may ever be shared
-        // across different programs.
-        let plans = Arc::new(PlanCache::new());
+        // One reference cache per kernel: the reference is
+        // benchmark-specific, so it may never be shared across programs.
         let reference = Arc::new(ReferenceCache::new());
         group.bench_function(format!("{name}/sequential-1w"), |b| {
             b.iter(|| {
@@ -61,30 +56,21 @@ fn main() {
                 let cfgs = frontier(bench.as_ref());
                 let mut ev = EvaluatorBuilder::new(QualityThreshold::new(THRESHOLD))
                     .workers(1)
-                    .plan_cache(Arc::clone(&plans))
                     .reference_cache(Arc::clone(&reference))
                     .build(bench.as_ref());
-                black_box(
-                    cfgs.iter()
-                        .filter(|c| ev.evaluate(c).is_ok())
-                        .count(),
-                )
+                black_box(cfgs.iter().filter(|c| ev.evaluate(c).is_ok()).count())
             })
         });
         group.bench_function(format!("{name}/sequential-1w-cold"), |b| {
             b.iter(|| {
-                // Default builder: a fresh plan cache per evaluator, so
-                // every configuration compiles cold each iteration.
+                // Default builder: no reference cache, so every
+                // iteration runs the all-double reference again.
                 let bench = benchmark_by_name(name, Scale::Paper).unwrap();
                 let cfgs = frontier(bench.as_ref());
                 let mut ev = EvaluatorBuilder::new(QualityThreshold::new(THRESHOLD))
                     .workers(1)
                     .build(bench.as_ref());
-                black_box(
-                    cfgs.iter()
-                        .filter(|c| ev.evaluate(c).is_ok())
-                        .count(),
-                )
+                black_box(cfgs.iter().filter(|c| ev.evaluate(c).is_ok()).count())
             })
         });
         group.bench_function(format!("{name}/batch-4w"), |b| {
@@ -93,7 +79,6 @@ fn main() {
                 let cfgs = frontier(bench.as_ref());
                 let mut ev = EvaluatorBuilder::new(QualityThreshold::new(THRESHOLD))
                     .workers(4)
-                    .plan_cache(Arc::clone(&plans))
                     .reference_cache(Arc::clone(&reference))
                     .build(bench.as_ref());
                 black_box(

@@ -1,17 +1,17 @@
 //! Plan-interpretation A/B bench: each IR-ported kernel run through its
-//! hand-written `Benchmark::run` (`direct`) vs the compiled execution
-//! plan, with compilation either paid on every run (`plan-cold`) or
-//! served from a shared `PlanCache` (`plan-cached`).
+//! hand-written `Benchmark::run` (`direct`) vs a run that compiles the
+//! execution plan, interprets it and drops it (`plan-cold`, the path
+//! every evaluation takes), plus `compile_plan` alone (`compile`).
 //!
-//! All three arms produce bit-identical outputs, op counts and cache
-//! statistics (property-tested in `tests/integration_properties.rs`);
+//! `direct` and `plan-cold` produce bit-identical outputs, op counts and
+//! cache statistics (property-tested in `tests/integration_properties.rs`);
 //! what differs is interpretation overhead. The plan resolves every
 //! op's precision and rounding once per configuration, so the hot loop
-//! runs with zero per-op config dispatch, and the spread between
-//! `plan-cold` and `plan-cached` isolates the compile cost itself.
+//! runs with zero per-op config dispatch. The `compile` arm keeps the
+//! compile share of `plan-cold` visible.
 
 use mixp_core::perf::bench::{black_box, BenchGroup};
-use mixp_core::{run_config, run_config_direct, run_config_planned, CacheParams, PlanCache};
+use mixp_core::{compile_plan, run_config, run_config_direct, CacheParams};
 use mixp_harness::{benchmark_by_name, Scale};
 use std::time::Duration;
 
@@ -40,9 +40,9 @@ fn main() {
         group.bench_function(format!("{name}/plan-cold"), |b| {
             b.iter(|| black_box(run_config(bench.as_ref(), &cfg, params)))
         });
-        let plans = PlanCache::new();
-        group.bench_function(format!("{name}/plan-cached"), |b| {
-            b.iter(|| black_box(run_config_planned(bench.as_ref(), &cfg, params, &plans)))
+        let prog = bench.ir_program().unwrap();
+        group.bench_function(format!("{name}/compile"), |b| {
+            b.iter(|| black_box(compile_plan(prog, &cfg)))
         });
     }
     group.finish();

@@ -61,8 +61,8 @@ pub trait Benchmark: Send + Sync {
     /// ported to the IR.
     ///
     /// When present, the evaluator compiles `(program, configuration)`
-    /// pairs into specialized execution plans (cached per configuration
-    /// fingerprint) and interprets those instead of calling
+    /// pairs into specialized execution plans (one per run, dropped when
+    /// the run returns) and interprets those instead of calling
     /// [`Benchmark::run`]. The contract is strict bit-equivalence: the
     /// program must reproduce `run`'s outputs, operation counts and
     /// access stream exactly, for every configuration — `run` stays the

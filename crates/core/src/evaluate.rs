@@ -1,6 +1,5 @@
 //! Configuration evaluation: run, verify, price.
 
-use crate::irplan::PlanCache;
 use crate::{Benchmark, Granularity, SearchSpace};
 use mixp_float::{CancelToken, CancelUnwind, ConfigKey, ExecCtx, OpCounts, PrecisionConfig};
 use mixp_obs::{Obs, Value};
@@ -144,7 +143,6 @@ pub struct EvaluatorBuilder {
     obs: Obs,
     parent_span: Option<u64>,
     cancel: Option<CancelToken>,
-    plans: Option<Arc<PlanCache>>,
     reference: Option<Arc<ReferenceCache>>,
 }
 
@@ -177,7 +175,6 @@ impl EvaluatorBuilder {
             obs: Obs::noop(),
             parent_span: None,
             cancel: None,
-            plans: None,
             reference: None,
         }
     }
@@ -252,25 +249,13 @@ impl EvaluatorBuilder {
         self
     }
 
-    /// Shares a compiled-plan cache with other evaluators of the same
-    /// IR-ported benchmark (campaigns re-build evaluators per job; the
-    /// plans are configuration-pure, so sharing them skips recompiles the
-    /// same way [`EvaluatorBuilder::shared_cache`] skips re-runs). The
-    /// default is a fresh private cache per evaluator. Has no effect on
-    /// benchmarks without an IR port.
-    pub fn plan_cache(mut self, plans: Arc<PlanCache>) -> Self {
-        self.plans = Some(plans);
-        self
-    }
-
     /// Shares a memoised all-double reference run with other evaluators of
     /// the same benchmark. The reference is configuration-independent and
-    /// every run of it is deterministic, so a campaign that re-builds
-    /// evaluators per job (checkpoint resume, per-worker evaluators, the
-    /// search drivers' per-algorithm loops) pays for it once instead of on
-    /// every [`EvaluatorBuilder::build`]. Like [`PlanCache`], the cache is
-    /// scoped to one benchmark: sharing it across different benchmarks (or
-    /// scales) would serve the wrong reference and must never be done.
+    /// every run of it is deterministic, so a caller that builds many
+    /// evaluators of one benchmark pays for it once instead of on every
+    /// [`EvaluatorBuilder::build`]. The cache is scoped to one benchmark:
+    /// sharing it across different benchmarks (or scales) would serve the
+    /// wrong reference and must never be done.
     pub fn reference_cache(mut self, reference: Arc<ReferenceCache>) -> Self {
         self.reference = Some(reference);
         self
@@ -294,7 +279,6 @@ impl EvaluatorBuilder {
     /// of `build` itself (there is no evaluator yet to report through); the
     /// harness's job-level `catch_unwind` classifies it.
     pub fn build<'b>(self, bench: &'b dyn Benchmark) -> Evaluator<'b> {
-        let plans = self.plans.unwrap_or_default();
         let ref_cfg = bench.program().config_all_double();
         let run_reference = || {
             run_config_with_token(
@@ -302,7 +286,8 @@ impl EvaluatorBuilder {
                 &ref_cfg,
                 self.cache,
                 self.cancel.as_ref(),
-                Some(&plans),
+                &self.obs,
+                self.parent_span,
             )
         };
         let (output, counts, stats) = match &self.reference {
@@ -332,7 +317,6 @@ impl EvaluatorBuilder {
             obs: self.obs,
             parent_span: self.parent_span,
             cancel: self.cancel,
-            plans,
             pool: None,
             pool_resolved: false,
             reference: output,
@@ -376,23 +360,10 @@ impl ReferenceCache {
 /// verification output, operation counts and cache statistics.
 ///
 /// IR-ported benchmarks ([`Benchmark::ir_program`]) execute through a
-/// specialized plan, compiled cold on each call; attach a [`PlanCache`]
-/// (via [`EvaluatorBuilder::plan_cache`] or [`run_config_planned`]) to
-/// amortise compilation across runs. Either way the result is
-/// bit-identical to [`run_config_direct`].
+/// specialized plan, compiled for this run and dropped when it returns;
+/// the result is bit-identical to [`run_config_direct`].
 pub fn run_config(bench: &dyn Benchmark, cfg: &PrecisionConfig, cache: CacheParams) -> RunOutput {
-    run_config_with_token(bench, cfg, cache, None, None)
-}
-
-/// [`run_config`] with plan compilations served from (and fed into)
-/// `plans`.
-pub fn run_config_planned(
-    bench: &dyn Benchmark,
-    cfg: &PrecisionConfig,
-    cache: CacheParams,
-    plans: &PlanCache,
-) -> RunOutput {
-    run_config_with_token(bench, cfg, cache, None, Some(plans))
+    run_config_with_token(bench, cfg, cache, None, &Obs::noop(), None)
 }
 
 /// Runs `bench` under `cfg` through its hand-written [`Benchmark::run`]
@@ -410,19 +381,28 @@ pub fn run_config_direct(
 /// [`run_config`] with an optional [`CancelToken`] attached to the run's
 /// [`ExecCtx`]. A fired token unwinds with [`CancelUnwind`] — callers that
 /// want a typed error instead use [`run_config_cancellable`].
+///
+/// Each plan compile bumps `evaluator.plan_compiles` on `obs` and, when
+/// `obs` is enabled, is wrapped in a `plan.compile` span under `parent`.
 fn run_config_with_token(
     bench: &dyn Benchmark,
     cfg: &PrecisionConfig,
     cache: CacheParams,
     token: Option<&CancelToken>,
-    plans: Option<&PlanCache>,
+    obs: &Obs,
+    parent: Option<u64>,
 ) -> RunOutput {
-    // Resolve the execution plan (if this benchmark is IR-ported) before
+    // Compile the execution plan (if this benchmark is IR-ported) before
     // entering the run: compilation is configuration-only work and must
     // not sit between the cache-hierarchy reset and the run it times.
-    let plan = bench.ir_program().map(|prog| match plans {
-        Some(cache) => cache.get_or_compile(prog, cfg),
-        None => std::sync::Arc::new(crate::irplan::compile_plan(prog, cfg)),
+    let plan = bench.ir_program().map(|prog| {
+        let span = obs
+            .enabled()
+            .then(|| obs.span_with_parent("plan.compile", parent, &[]));
+        let plan = crate::irplan::compile_plan(prog, cfg);
+        drop(span);
+        obs.counter_add("evaluator.plan_compiles", 1);
+        plan
     });
     run_in_hierarchy(cfg, cache, token, |ctx| match &plan {
         Some(plan) => crate::irplan::run_plan(plan, ctx),
@@ -480,16 +460,17 @@ fn run_config_cancellable(
     cfg: &PrecisionConfig,
     cache: CacheParams,
     token: Option<&CancelToken>,
-    plans: Option<&PlanCache>,
+    obs: &Obs,
+    parent: Option<u64>,
 ) -> Result<RunOutput, EvalError> {
     let Some(token) = token else {
-        return Ok(run_config_with_token(bench, cfg, cache, None, plans));
+        return Ok(run_config_with_token(bench, cfg, cache, None, obs, parent));
     };
     if token.is_cancelled() {
         return Err(EvalError::Cancelled);
     }
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_config_with_token(bench, cfg, cache, Some(token), plans)
+        run_config_with_token(bench, cfg, cache, Some(token), obs, parent)
     }));
     match run {
         Ok(run) => Ok(run),
@@ -518,11 +499,6 @@ pub struct Evaluator<'b> {
     obs: Obs,
     parent_span: Option<u64>,
     cancel: Option<CancelToken>,
-    /// Compiled execution plans for IR-ported benchmarks, keyed by
-    /// configuration fingerprint — the plan-level sibling of `memo`
-    /// (which caches whole outcomes). Shared across evaluators via
-    /// [`EvaluatorBuilder::plan_cache`].
-    plans: Arc<PlanCache>,
     /// Fan-out arena for `evaluate_batch`, resolved lazily on the first
     /// batch that needs one (see [`Self::batch_pool`]). `None` until then,
     /// and forever for sequential evaluators.
@@ -604,14 +580,6 @@ impl<'b> Evaluator<'b> {
     /// degenerates to the historical sequential loop.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// The compiled-plan cache this evaluator runs IR-ported benchmarks
-    /// through. Pass the same handle to another builder's
-    /// [`EvaluatorBuilder::plan_cache`] to share warm plans across
-    /// evaluators.
-    pub fn plan_cache(&self) -> Arc<PlanCache> {
-        Arc::clone(&self.plans)
     }
 
     /// A clone of the observability handle this evaluator reports through.
@@ -773,7 +741,8 @@ impl<'b> Evaluator<'b> {
                     cfg,
                     self.cache,
                     self.cancel.as_ref(),
-                    Some(&self.plans),
+                    &self.obs,
+                    span.id(),
                 ) {
                         Ok(run) => run,
                         Err(e) => {
@@ -917,7 +886,8 @@ impl<'b> Evaluator<'b> {
                     &cfgs[i],
                     self.cache,
                     self.cancel.as_ref(),
-                    Some(&self.plans),
+                    &self.obs,
+                    span.id(),
                 ))
             })),
             Some(pool) => {
@@ -926,7 +896,8 @@ impl<'b> Evaluator<'b> {
                 let bench = self.bench;
                 let cache = self.cache;
                 let cancel = self.cancel.clone();
-                let plans = Arc::clone(&self.plans);
+                let obs = &self.obs;
+                let batch_span = span.id();
                 // Cancellation is caught *inside* each item (a fired token
                 // yields Err(Cancelled) in that item's slot), so a cancelled
                 // batch never poisons the pool descriptor — every remaining
@@ -937,7 +908,8 @@ impl<'b> Evaluator<'b> {
                         &cfgs[pending[t]],
                         cache,
                         cancel.as_ref(),
-                        Some(&plans),
+                        obs,
+                        batch_span,
                     );
                     match out[t].lock() {
                         Ok(mut slot) => *slot = Some(run),
@@ -981,7 +953,8 @@ impl<'b> Evaluator<'b> {
                             &cfgs[i],
                             self.cache,
                             self.cancel.as_ref(),
-                            Some(&self.plans),
+                            &self.obs,
+                            span.id(),
                         )
                     });
                     match run {

@@ -15,16 +15,15 @@
 //! hand-written [`mixp_float::StreamGroup`] loops emit, and
 //! cancellation is still polled once per stream per commit).
 //!
-//! Plans depend only on the configuration — not on input data — so the
-//! evaluator caches them per [`ConfigKey`] in a [`PlanCache`] shared by
-//! the reference run, sequential evaluation and batch fan-out alike.
+//! Plans are transient: every run — the evaluator's reference run,
+//! sequential evaluation and batch fan-out alike — compiles its own plan,
+//! interprets it and drops it. The evaluator memoises whole outcomes per
+//! configuration, so a configuration is never run twice and a kept plan
+//! would only hold memory (a paper-scale hotspot plan is ~3 MB).
 
-use mixp_float::{ConfigKey, ExecCtx, Precision, PrecisionConfig, StreamSpec, VarId};
+use mixp_float::{ExecCtx, Precision, PrecisionConfig, StreamSpec, VarId};
 use mixp_ir::{ExecSink, Plan, Prec, Program, StreamRt};
 use std::cell::RefCell;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 /// Maps an IR storage precision to the runtime's.
 fn to_precision(p: Prec) -> Precision {
@@ -142,67 +141,6 @@ pub fn run_plan(plan: &Plan, ctx: &mut ExecCtx<'_>) -> Vec<f64> {
     })
 }
 
-/// A per-benchmark cache of compiled plans keyed by configuration
-/// fingerprint.
-///
-/// Plans are pure functions of `(program, configuration)`, so sharing a
-/// cache across runs — or across evaluators of the same benchmark — is
-/// a wall-clock optimisation with zero numerical effect. The map is
-/// guarded by one mutex: compilation is microseconds and lookups are
-/// one hash probe, so contention under batch fan-out is negligible
-/// compared to the runs themselves.
-#[derive(Debug, Default)]
-pub struct PlanCache {
-    plans: Mutex<HashMap<ConfigKey, Arc<Plan>>>,
-    hits: AtomicU64,
-    compiles: AtomicU64,
-}
-
-impl PlanCache {
-    /// Creates an empty cache.
-    pub fn new() -> PlanCache {
-        PlanCache::default()
-    }
-
-    /// Returns the cached plan for `cfg`, compiling (and caching) it on
-    /// first sight of the fingerprint.
-    pub fn get_or_compile(&self, prog: &Program, cfg: &PrecisionConfig) -> Arc<Plan> {
-        let key = cfg.fingerprint();
-        if let Some(plan) = self.plans.lock().unwrap().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(plan);
-        }
-        // Compile outside the lock: concurrent first sights of the same
-        // fingerprint may both compile, but the insert is idempotent
-        // (identical inputs produce interchangeable plans) and holding a
-        // mutex across compilation would serialize batch warm-up.
-        let plan = Arc::new(compile_plan(prog, cfg));
-        self.compiles.fetch_add(1, Ordering::Relaxed);
-        let mut map = self.plans.lock().unwrap();
-        Arc::clone(map.entry(key).or_insert(plan))
-    }
-
-    /// Number of lookups served from the cache.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Number of plan compilations performed.
-    pub fn compiles(&self) -> u64 {
-        self.compiles.load(Ordering::Relaxed)
-    }
-
-    /// Number of distinct configurations with a cached plan.
-    pub fn len(&self) -> usize {
-        self.plans.lock().unwrap().len()
-    }
-
-    /// Whether no plans are cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,20 +202,5 @@ mod tests {
             assert_eq!(out, href, "outputs must be bit-identical");
             assert_eq!(counts, hcounts, "op counts must match");
         }
-    }
-
-    #[test]
-    fn plan_cache_compiles_once_per_fingerprint() {
-        let prog = axpy_prog(8);
-        let cache = PlanCache::new();
-        let d = PrecisionConfig::all_double(3);
-        let s = PrecisionConfig::all_single(3);
-        let p1 = cache.get_or_compile(&prog, &d);
-        let p2 = cache.get_or_compile(&prog, &d);
-        let _p3 = cache.get_or_compile(&prog, &s);
-        assert!(Arc::ptr_eq(&p1, &p2));
-        assert_eq!(cache.compiles(), 2);
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.len(), 2);
     }
 }

@@ -11,6 +11,9 @@
 #      CARGO_HOME pointed at a fresh empty directory, proving no cached
 #      registry state is being silently relied upon.
 #
+# The same empty CARGO_HOME then runs the unit tests of `mixbench`, the
+# repository's benchmark package, which lives outside the workspace.
+#
 # It also smoke-runs every `[[bench]]` target with MIXP_BENCH_QUICK=1
 # (single sample, no warmup) so a broken bench fails the gate instead of
 # rotting until the next manual `cargo bench` — including
@@ -40,7 +43,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== [1/11] grep guard: only path dependencies allowed =="
+echo "== [1/12] grep guard: only path dependencies allowed =="
 violations=$(find . -name Cargo.toml -not -path './target/*' -print0 | xargs -0 awk '
   FNR == 1 { section = "" }
   /^\[/ { section = $0 }
@@ -56,7 +59,7 @@ if [ -n "$violations" ]; then
 fi
 echo "ok: no non-path dependencies"
 
-echo "== [2/11] panic guard: fault-tolerant harness paths must not panic =="
+echo "== [2/12] panic guard: fault-tolerant harness paths must not panic =="
 # The campaign execution path promises typed errors instead of aborts:
 # no unwrap()/expect()/panic! in non-test code of the scheduler, job,
 # checkpoint, journal, faultplan, watchdog and cancellation modules. Test modules
@@ -86,7 +89,7 @@ if [ -n "$panic_violations" ]; then
 fi
 echo "ok: campaign execution paths are panic-free"
 
-echo "== [3/11] fast-path guard: benchmark hot loops must use the bulk layer =="
+echo "== [3/12] fast-path guard: benchmark hot loops must use the bulk layer =="
 # The speedup model's wall-clock claims rest on benchmarks going through
 # the MpVec fast path: per-handle cached rounding and bulk accounting.
 # Reaching around it — rounding manually with `round_to`, or reading
@@ -113,7 +116,7 @@ if [ -n "$fastpath_violations" ]; then
 fi
 echo "ok: kernels and apps stay on the bulk/fast-path API"
 
-echo "== [4/11] obs purity guard: zero deps, wall clock quarantined in clock.rs =="
+echo "== [4/12] obs purity guard: zero deps, wall clock quarantined in clock.rs =="
 # The observability crate underpins the determinism story twice over: it
 # must stay dependency-free (it is linked into every other crate), and its
 # trace/metrics layers must never read wall-clock time themselves — all
@@ -144,7 +147,7 @@ if [ -n "$obs_clock_violations" ]; then
 fi
 echo "ok: crates/obs is dependency-free and logically clocked"
 
-echo "== [5/11] thread-confinement guard: raw threads only inside crates/pool =="
+echo "== [5/12] thread-confinement guard: raw threads only inside crates/pool =="
 # The oversubscription fix rests on one invariant: all parallelism flows
 # through the work-stealing pool, sized once by MIXP_WORKERS. Raw
 # `thread::spawn`/`thread::scope`/`thread::Builder` anywhere else quietly
@@ -174,7 +177,7 @@ if [ -n "$thread_violations" ]; then
 fi
 echo "ok: thread creation is confined to the pool crate"
 
-echo "== [6/11] IR purity guard: crates/ir dependency-free and precision-agnostic =="
+echo "== [6/12] IR purity guard: crates/ir dependency-free and precision-agnostic =="
 # The program IR is the layer future backends hang off, so it must know
 # nothing about ExecCtx, tracers or benchmarks: its Cargo.toml declares no
 # dependencies at all (not even workspace ones). Precision semantics are
@@ -210,7 +213,7 @@ if [ -n "$ir_purity_violations" ]; then
 fi
 echo "ok: crates/ir is dependency-free and precision-agnostic outside round.rs/plan.rs"
 
-echo "== [7/11] socket-confinement guard: Unix sockets only inside crates/serve =="
+echo "== [7/12] socket-confinement guard: Unix sockets only inside crates/serve =="
 # The campaign service is deliberately the workspace's only network-ish
 # surface, and a Unix-domain one at that. `UnixListener`/`UnixStream`
 # creeping into any other crate would give the batch harness an ambient
@@ -231,7 +234,7 @@ if [ -n "$socket_violations" ]; then
 fi
 echo "ok: socket use is confined to the serve crate"
 
-echo "== [8/11] durable-file guard: fsync, rename and OpenOptions only in the journal =="
+echo "== [8/12] durable-file guard: fsync, rename and OpenOptions only in the journal =="
 # Every crash-safe campaign file (run-state, eval cache, queue journal)
 # goes through crates/harness/src/journal.rs, which owns the header
 # check, the tmp + fsync + rename restart, the append/fsync cadence and
@@ -252,7 +255,7 @@ if [ -n "$durable_violations" ]; then
 fi
 echo "ok: durable-file I/O is confined to the journal module"
 
-echo "== [9/11] offline build + test with an empty CARGO_HOME =="
+echo "== [9/12] offline build + test with an empty CARGO_HOME =="
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 export CARGO_HOME="$tmp/cargo_home"
@@ -261,10 +264,16 @@ mkdir -p "$CARGO_HOME"
 cargo build --release --offline
 cargo test -q --offline
 
-echo "== [10/11] bench smoke: every [[bench]] target runs under MIXP_BENCH_QUICK =="
+echo "== [10/12] mixbench unit tests under the same empty CARGO_HOME =="
+# mixbench is a package of its own (outside the workspace), so the steps
+# above never build it. Its unit tests include a smoke run of all four
+# workloads, so a crate change that breaks the benchmark fails here.
+cargo test --release --offline --manifest-path mixbench/Cargo.toml
+
+echo "== [11/12] bench smoke: every [[bench]] target runs under MIXP_BENCH_QUICK =="
 MIXP_BENCH_QUICK=1 cargo bench --offline
 
-echo "== [11/11] loadgen smoke: the campaign-service fleet in quick mode =="
+echo "== [12/12] loadgen smoke: the campaign-service fleet in quick mode =="
 # Spawns a real daemon, drives it with concurrent multi-tenant clients,
 # SIGKILLs and restarts it mid-run, and asserts terminal states, exact
 # quota accounting and bit-identical outcomes. Quick mode keeps it to a

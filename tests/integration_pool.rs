@@ -2,7 +2,8 @@
 //! parallel jobs *and* parallel evaluator batches inside them must stay
 //! bit-identical to the sequential run, keep total pool threads bounded by
 //! the single `workers` knob (no more W×W oversubscription), and thread
-//! its evaluator spans under the campaign's per-job spans.
+//! its evaluator and plan-compile spans under the campaign's per-job
+//! spans.
 
 use mixp_core::{EvaluatorBuilder, Granularity, Obs, PrecisionConfig, QualityThreshold, SearchSpace};
 use mixp_harness::scheduler::{run_campaign, CampaignOptions};
@@ -167,4 +168,42 @@ fn evaluator_spans_nest_under_campaign_job_spans() {
             "eval span parent {parent} is not a job span id {job_ids:?}"
         );
     }
+}
+
+/// Every plan compile is counted, and traced as a `plan.compile` span
+/// under the span that asked for the run: `eval` or `eval.batch` for a
+/// search's evaluations, the job span for the evaluator's reference run.
+#[test]
+fn plan_compiles_are_counted_and_nest_under_their_runs() {
+    let obs = Obs::in_memory();
+    let jobs = jobs();
+    let outcomes = run_campaign(&jobs, &opts(2, 2, obs.clone()));
+    assert!(outcomes.iter().all(|o| o.outcome.is_ok()));
+    let lines = obs.trace_lines();
+    let starts = |name: &str| -> Vec<&String> {
+        let needle = format!("\"name\":\"{name}\"");
+        lines
+            .iter()
+            .filter(|l| l.contains("\"t\":\"span\"") && l.contains(&needle))
+            .collect()
+    };
+    let run_ids: Vec<u64> = ["job", "eval", "eval.batch"]
+        .iter()
+        .flat_map(|name| starts(name))
+        .map(|l| field_u64(l, "id").expect("span starts carry an id"))
+        .collect();
+    let compiles = starts("plan.compile");
+    for line in &compiles {
+        let parent = field_u64(line, "parent").expect("plan.compile spans are parented");
+        assert!(
+            run_ids.contains(&parent),
+            "plan.compile parent {parent} is not a job or evaluator span"
+        );
+    }
+    let snap = obs.metrics_snapshot().expect("in-memory obs has metrics");
+    let counted = snap.counters["evaluator.plan_compiles"];
+    assert_eq!(counted, compiles.len() as u64);
+    // All three kernels are IR-ported: one compile per fresh run, plus
+    // one per job for the reference run.
+    assert_eq!(counted, snap.counters["evaluator.runs"] + jobs.len() as u64);
 }

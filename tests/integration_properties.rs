@@ -578,8 +578,8 @@ fn ir_plan_is_bit_identical_to_handwritten_hotspot() {
     });
 }
 
-/// The evaluator's plan path (shared `PlanCache`, any worker count, batch
-/// or sequential submission) reports the same records as an evaluator
+/// The evaluator's plan path (a plan compiled per run, any worker count,
+/// batch or sequential submission) reports the same records as an evaluator
 /// forced onto the hand-written path — including non-compiling
 /// cluster-splitting configurations and the all-double reference run.
 #[test]
