@@ -347,15 +347,7 @@ impl Blackscholes {
     /// One option price (`BlkSchlsEqEuroNoDiv`). Fixed op charges are
     /// hoisted into [`Blackscholes::charge_option_ops`].
     #[allow(clippy::too_many_arguments)]
-    fn price_option(
-        &self,
-        ctx: &mut ExecCtx<'_>,
-        s: f64,
-        k: f64,
-        r: f64,
-        vol: f64,
-        t: f64,
-    ) -> f64 {
+    fn price_option(&self, ctx: &mut ExecCtx<'_>, s: f64, k: f64, r: f64, vol: f64, t: f64) -> f64 {
         let v = &self.v;
         let mut sqrt_time = MpScalar::new(ctx, v.x_sqrt_time, 0.0);
         sqrt_time.set(ctx, t.sqrt());

@@ -159,7 +159,13 @@ impl Cfd {
         // 5 quantities × {i, nb} × {x, y, z} flux contribution components,
         // all flowing through the helper's reference parameters: one big
         // cluster of scalars.
-        let quantities = ["density", "momentum_x", "momentum_y", "momentum_z", "energy"];
+        let quantities = [
+            "density",
+            "momentum_x",
+            "momentum_y",
+            "momentum_z",
+            "energy",
+        ];
         for q in quantities {
             for side in ["i", "nb"] {
                 for axis in ["x", "y", "z"] {
@@ -443,7 +449,10 @@ impl Benchmark for Cfd {
                         ctx,
                         (gamma - 1.0) * (de - 0.5 * density.get() * speed_sqd.get()),
                     );
-                    sos.set(ctx, (gamma * pressure.get() / density.get()).max(0.0).sqrt());
+                    sos.set(
+                        ctx,
+                        (gamma * pressure.get() / density.get()).max(0.0).sqrt(),
+                    );
                     let denom = speed_sqd.get().sqrt() + sos.get();
                     step_factors.write_rounded(c, 0.5 / (av[c] * denom.max(1e-9)));
                     density.set(ctx, density.get());
@@ -471,9 +480,11 @@ impl Benchmark for Cfd {
                 let nv = normals.raw();
                 let nbv = neighbors.raw();
                 for c in 0..n {
-                    meta_group
-                        .rebase_index(0, &neighbors, c * NNB)
-                        .rebase(1, &normals, c * NNB * 3);
+                    meta_group.rebase_index(0, &neighbors, c * NNB).rebase(
+                        1,
+                        &normals,
+                        c * NNB * 3,
+                    );
                     meta_group.commit(ctx, NNB);
                     face_group
                         .rebase(0, &variables, c * NVAR)
@@ -496,7 +507,11 @@ impl Benchmark for Cfd {
             }
 
             // time_step: advance the state.
-            ctx.flop(v.variables, &[v.old_variables, v.fluxes, v.factor], 2 * state);
+            ctx.flop(
+                v.variables,
+                &[v.old_variables, v.fluxes, v.factor],
+                2 * state,
+            );
             // One step-factor sweep, then one contiguous sweep over the
             // conserved quantities (cell-major, so c*NVAR + q is linear).
             ts_sf_group.commit(ctx, n);

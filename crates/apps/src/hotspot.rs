@@ -178,8 +178,18 @@ impl Hotspot {
         debug_assert_eq!(program.total_clusters(), 22);
 
         let _ = (
-            t_chip, chip_height, chip_width, max_slope, h_sum, v_sum, p_term, dtemp, r_denom_x,
-            r_denom_y, r_denom_z, acc,
+            t_chip,
+            chip_height,
+            chip_width,
+            max_slope,
+            h_sum,
+            v_sum,
+            p_term,
+            dtemp,
+            r_denom_x,
+            r_denom_y,
+            r_denom_z,
+            acc,
         );
 
         // Synthetic power map and initial temperature offsets.
@@ -218,8 +228,11 @@ impl Hotspot {
             );
             p.flop(vid(result), &[vid(tc), vid(delta)], n64);
             for r in 0..rows {
-                let segments =
-                    [(0, 1, false, true), (1, cols - 1, true, true), (cols - 1, cols, true, false)];
+                let segments = [
+                    (0, 1, false, true),
+                    (1, cols - 1, true, true),
+                    (cols - 1, cols, true, false),
+                ];
                 for (start, end, west, east) in segments {
                     let base = r * cols + start;
                     let mut s = Sweep::new(end - start);
@@ -241,10 +254,26 @@ impl Hotspot {
                     // scratch scalar; boundary sites reuse it in place of
                     // the missing neighbour, exactly like `run`.
                     let tc_l = s.bind_scal(tc_sc, Expr::at(cur, base));
-                    let tn = if r > 0 { Expr::at(cur, base - cols) } else { tc_l.clone() };
-                    let ts = if r + 1 < rows { Expr::at(cur, base + cols) } else { tc_l.clone() };
-                    let tw = if west { Expr::at(cur, base - 1) } else { tc_l.clone() };
-                    let te = if east { Expr::at(cur, base + 1) } else { tc_l.clone() };
+                    let tn = if r > 0 {
+                        Expr::at(cur, base - cols)
+                    } else {
+                        tc_l.clone()
+                    };
+                    let ts = if r + 1 < rows {
+                        Expr::at(cur, base + cols)
+                    } else {
+                        tc_l.clone()
+                    };
+                    let tw = if west {
+                        Expr::at(cur, base - 1)
+                    } else {
+                        tc_l.clone()
+                    };
+                    let te = if east {
+                        Expr::at(cur, base + 1)
+                    } else {
+                        tc_l.clone()
+                    };
                     let vert = s.bind(ts + tn - Expr::k(2.0) * tc_l.clone());
                     let horiz = s.bind(te + tw - Expr::k(2.0) * tc_l.clone());
                     // `-tc` as `-1.0 * tc`: an exact IEEE sign flip,
@@ -346,7 +375,11 @@ impl Benchmark for Hotspot {
             ctx.flop(v.delta, &[v.tc, v.step_lit], 2 * n64);
             // Rx/Ry/Rz are pre-inverted outside the loop, so the inner
             // update is multiply-add only.
-            ctx.flop(v.delta, &[v.step, v.cap, v.power, v.ry, v.rx, v.rz], 7 * n64);
+            ctx.flop(
+                v.delta,
+                &[v.step, v.cap, v.power, v.ry, v.rx, v.rz],
+                7 * n64,
+            );
             ctx.flop(v.result, &[v.tc, v.delta], n64);
             {
                 let stepv = step.get();
@@ -357,8 +390,11 @@ impl Benchmark for Hotspot {
                 let tv = temp.raw();
                 let pv = power.raw();
                 for r in 0..rows {
-                    let segments =
-                        [(0, 1, false, true), (1, cols - 1, true, true), (cols - 1, cols, true, false)];
+                    let segments = [
+                        (0, 1, false, true),
+                        (1, cols - 1, true, true),
+                        (cols - 1, cols, true, false),
+                    ];
                     for (start, end, west, east) in segments {
                         declare_stencil(
                             &mut seg_group,
@@ -386,8 +422,8 @@ impl Benchmark for Hotspot {
                             let vert = ts + tn - 2.0 * tcv;
                             let horiz = te + tw - 2.0 * tcv;
                             let sink = -tcv; // ambient offset is zero by definition
-                            let d = stepv / capv
-                                * (pv[idx] + vert / ryv + horiz / rxv + sink / rzv);
+                            let d =
+                                stepv / capv * (pv[idx] + vert / ryv + horiz / rxv + sink / rzv);
                             delta_s.set(ctx, d);
                             tc_s.set(ctx, tcv + delta_s.get());
                             result.write_rounded(idx, tc_s.get());

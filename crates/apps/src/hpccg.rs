@@ -265,7 +265,14 @@ impl Hpccg {
         sum.get()
     }
 
-    fn sparsemv(&self, ctx: &mut ExecCtx<'_>, a: &MpVec, cols: &IndexVec, x: &MpVec, y: &mut MpVec) {
+    fn sparsemv(
+        &self,
+        ctx: &mut ExecCtx<'_>,
+        a: &MpVec,
+        cols: &IndexVec,
+        x: &MpVec,
+        y: &mut MpVec,
+    ) {
         let v = &self.v;
         let nnz = self.nnz_per_row;
         let total = (self.n * nnz) as u64;

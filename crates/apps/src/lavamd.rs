@@ -100,9 +100,7 @@ impl LavaMd {
         let fv = b.array(main, "fv");
         let f_a = b.array(kernel, "fA");
         b.bind(fv, f_a);
-        for name in [
-            "fai_x", "fai_y", "fai_z", "fai_v", "fxij", "fyij", "fzij",
-        ] {
+        for name in ["fai_x", "fai_y", "fai_z", "fai_v", "fxij", "fyij", "fzij"] {
             let s = b.scalar(kernel, name);
             b.bind(fv, s);
         }
@@ -260,11 +258,7 @@ impl Benchmark for LavaMd {
         // and with it the whole operation mix — is known before the kernel
         // runs: each home particle interacts with every particle of every
         // valid neighbour box.
-        let valid_boxes: u64 = self
-            .neighbors
-            .iter()
-            .filter(|&&nb| nb >= 0)
-            .count() as u64;
+        let valid_boxes: u64 = self.neighbors.iter().filter(|&&nb| nb >= 0).count() as u64;
         let pairs = valid_boxes * (ppb * ppb) as u64;
         ctx.flop(v.r2, &[v.rv], 5 * pairs);
         ctx.flop(v.u2, &[v.a2, v.r2], pairs);

@@ -87,11 +87,7 @@ mod tests {
         assert_eq!(apps.len(), 7);
         for (bench, (name, tv, tc)) in apps.iter().zip(TABLE2) {
             assert_eq!(bench.name(), name);
-            assert_eq!(
-                bench.program().total_variables(),
-                tv,
-                "{name}: TV mismatch"
-            );
+            assert_eq!(bench.program().total_variables(), tv, "{name}: TV mismatch");
             assert_eq!(bench.program().total_clusters(), tc, "{name}: TC mismatch");
         }
     }

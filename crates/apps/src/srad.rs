@@ -286,10 +286,7 @@ impl Benchmark for Srad {
             let mut var_roi = MpScalar::new(ctx, v.var_roi, 0.0);
             ctx.flop(v.var_roi, &[v.sum, v.mean_roi], 2);
             ctx.heavy(v.var_roi, &[v.sum], 1);
-            var_roi.set(
-                ctx,
-                sum2.get() / n as f64 - mean_roi.get() * mean_roi.get(),
-            );
+            var_roi.set(ctx, sum2.get() / n as f64 - mean_roi.get() * mean_roi.get());
             // Normalised standard deviation: sqrt of the (possibly
             // negative, at single precision) variance — the NaN source.
             let mut q0 = MpScalar::new(ctx, v.q0sqr, 0.0);
@@ -323,8 +320,11 @@ impl Benchmark for Srad {
             {
                 let jv = j.raw();
                 for r in 0..rows {
-                    let segments =
-                        [(0, 1, false, true), (1, cols - 1, true, true), (cols - 1, cols, true, false)];
+                    let segments = [
+                        (0, 1, false, true),
+                        (1, cols - 1, true, true),
+                        (cols - 1, cols, true, false),
+                    ];
                     for (start, end, west, east) in segments {
                         declare_gradient(
                             &mut seg_group,
@@ -361,10 +361,7 @@ impl Benchmark for Srad {
                                 ctx,
                                 (0.5 * g2.get() - 0.0625 * lv.get() * lv.get()) / (denom * denom),
                             );
-                            num.set(
-                                ctx,
-                                (qsqr.get() - q0.get()) / (q0.get() * (1.0 + q0.get())),
-                            );
+                            num.set(ctx, (qsqr.get() - q0.get()) / (q0.get() * (1.0 + q0.get())));
                             c.write_rounded(i, 1.0 / (1.0 + num.get()));
                         }
                     }
@@ -400,8 +397,7 @@ impl Benchmark for Srad {
                             let cc = cv[i];
                             let cs = if r + 1 < rows { cv[i + cols] } else { cc };
                             let ce = if col + 1 < cols { cv[i + 1] } else { cc };
-                            let div =
-                                cc * dnv[i] + cs * dsv[i] + cc * dwv[i] + ce * dev[i];
+                            let div = cc * dnv[i] + cs * dsv[i] + cc * dwv[i] + ce * dev[i];
                             let jc = j.raw()[i];
                             j.write_rounded(i, jc + 0.25 * lam * div);
                         }
@@ -416,8 +412,8 @@ impl Benchmark for Srad {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mixp_core::{Evaluator, QualityThreshold};
     use mixp_core::{run_config, CacheParams};
+    use mixp_core::{Evaluator, QualityThreshold};
 
     #[test]
     fn model_matches_table2() {

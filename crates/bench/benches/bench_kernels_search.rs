@@ -20,10 +20,8 @@ fn main() {
             group.bench_function(format!("{kernel}/{algo_name}"), |b| {
                 b.iter(|| {
                     let bench = benchmark_by_name(kernel, Scale::Small).unwrap();
-                    let mut ev = Evaluator::new(
-                        bench.as_ref(),
-                        QualityThreshold::new(TABLE3_THRESHOLD),
-                    );
+                    let mut ev =
+                        Evaluator::new(bench.as_ref(), QualityThreshold::new(TABLE3_THRESHOLD));
                     black_box(algo.search(&mut ev).evaluated)
                 })
             });

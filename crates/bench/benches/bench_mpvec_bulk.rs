@@ -28,7 +28,9 @@ struct Sink(u64);
 
 impl MemoryTracer for Sink {
     fn access(&mut self, addr: u64, bytes: u8, write: bool) {
-        self.0 = self.0.wrapping_add(addr ^ u64::from(bytes) ^ u64::from(write));
+        self.0 = self
+            .0
+            .wrapping_add(addr ^ u64::from(bytes) ^ u64::from(write));
     }
 }
 

@@ -36,11 +36,15 @@ fn run_frontier(obs: &Obs) -> usize {
         .workers(4)
         .obs(obs.clone())
         .build(bench.as_ref());
-    ev.evaluate_batch(&cfgs).iter().filter(|r| r.is_ok()).count()
+    ev.evaluate_batch(&cfgs)
+        .iter()
+        .filter(|r| r.is_ok())
+        .count()
 }
 
 fn main() {
-    let trace_path = std::env::temp_dir().join(format!("mixp-bench-obs-{}.jsonl", std::process::id()));
+    let trace_path =
+        std::env::temp_dir().join(format!("mixp-bench-obs-{}.jsonl", std::process::id()));
     let mut group = BenchGroup::new("obs_overhead");
     group
         .warm_up_time(Duration::from_millis(500))

@@ -1,11 +1,11 @@
 //! Ablation benches for the substrates DESIGN.md calls out: the cache
 //! simulator, the cost model and the mp I/O runtime.
 
-use mixp_core::perf::bench::{black_box, BenchGroup};
 use mixp_core::float::MemoryTracer;
+use mixp_core::perf::bench::{black_box, BenchGroup};
+use mixp_core::perf::Hierarchy;
 use mixp_core::runtime::{mp_fread, mp_fwrite};
 use mixp_core::synth::SplitMix64;
-use mixp_core::perf::Hierarchy;
 use mixp_core::CacheParams;
 use mixp_core::{CostModel, OpCounts, Precision};
 use std::io::Cursor;
@@ -55,9 +55,7 @@ fn cost_model() {
         stores_f64: 1_000,
         ..OpCounts::default()
     };
-    group.bench_function("cost", |b| {
-        b.iter(|| black_box(model.cost(&counts, None)))
-    });
+    group.bench_function("cost", |b| b.iter(|| black_box(model.cost(&counts, None))));
     group.finish();
 }
 

@@ -14,8 +14,8 @@
 
 use mixp_bench::options_from_env;
 use mixp_core::{run_config, CacheParams, CostModel};
-use mixp_harness::report::render_table;
 use mixp_harness::benchmark_by_name;
+use mixp_harness::report::render_table;
 
 const TARGETS: [&str; 8] = [
     "banded-lin-eq",
@@ -71,7 +71,13 @@ fn main() {
     print!(
         "{}",
         render_table(
-            &["Benchmark", "default", "no-cache", "free-casts", "fast-heavy"],
+            &[
+                "Benchmark",
+                "default",
+                "no-cache",
+                "free-casts",
+                "fast-heavy"
+            ],
             &rows
         )
     );

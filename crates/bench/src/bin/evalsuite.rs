@@ -34,15 +34,12 @@ fn main() {
         println!();
         // Failed cells already render as FAILED(reason) in the table; the
         // CSV series plot completed cells only.
-        all.extend(
-            groups
-                .into_iter()
-                .flatten()
-                .filter_map(|o| o.outcome.ok()),
-        );
+        all.extend(groups.into_iter().flatten().filter_map(|o| o.outcome.ok()));
     }
 
-    println!("\nFigure 2 series (DD vs GA; benchmark,algorithm,threshold,clusters,evaluated,speedup):");
+    println!(
+        "\nFigure 2 series (DD vs GA; benchmark,algorithm,threshold,clusters,evaluated,speedup):"
+    );
     for r in all
         .iter()
         .filter(|r| r.algorithm == "DD" || r.algorithm == "GA")

@@ -13,9 +13,7 @@ use mixp_bench::options_from_env;
 use mixp_core::{run_config, CacheParams, CostModel, Evaluator, QualityThreshold};
 use mixp_harness::benchmark_by_name;
 use mixp_harness::Scale;
-use mixp_search::{
-    DeltaDebug, Genetic, GeneticParams, SearchAlgorithm, VariableDeltaDebug,
-};
+use mixp_search::{DeltaDebug, Genetic, GeneticParams, SearchAlgorithm, VariableDeltaDebug};
 
 struct Scoreboard {
     failures: usize,
@@ -82,7 +80,9 @@ fn main() {
         let without = model.speedup((&rc, None), (&sc, None));
         board.check(
             "LavaMD's gain comes from cache behaviour",
-            format!("speedup {with_cache:.2} with the cache simulator vs {without:.2} with flat memory"),
+            format!(
+                "speedup {with_cache:.2} with the cache simulator vs {without:.2} with flat memory"
+            ),
             with_cache > without + 0.15,
         );
     }
@@ -103,7 +103,10 @@ fn main() {
         }
         board.check(
             "GA effort is bounded; GA results vary with the seed",
-            format!("max evaluated {max_ev} ≤ cap {cap}; {} distinct outcomes over 3 seeds", keys.len()),
+            format!(
+                "max evaluated {max_ev} ≤ cap {cap}; {} distinct outcomes over 3 seeds",
+                keys.len()
+            ),
             max_ev <= cap && keys.len() > 1,
         );
     }

@@ -14,7 +14,9 @@ use mixp_harness::report::render_table;
 use mixp_harness::{benchmark_by_name, Scale};
 
 fn main() {
-    let name = std::env::args().nth(1).unwrap_or_else(|| "lavamd".to_string());
+    let name = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "lavamd".to_string());
     let bench = benchmark_by_name(&name, Scale::Paper).unwrap_or_else(|| {
         eprintln!("unknown benchmark `{name}`");
         std::process::exit(2);

@@ -1,9 +1,9 @@
 //! Regenerates Table II: Total Variables (TV) and Total Clusters (TC)
 //! identified by the type-dependence analysis for every benchmark.
 
+use mixp_core::BenchmarkKind;
 use mixp_harness::experiments::table2;
 use mixp_harness::report::render_table;
-use mixp_core::BenchmarkKind;
 
 fn main() {
     let all = table2();

@@ -655,7 +655,11 @@ impl<'b> Evaluator<'b> {
         let (output, counts, stats) = run;
         let quality = self.bench.metric().compare(&self.reference, &output);
         let cost = self.cost_model.cost(&counts, Some(&stats));
-        let speedup = if cost == 0.0 { 1.0 } else { self.ref_cost / cost };
+        let speedup = if cost == 0.0 {
+            1.0
+        } else {
+            self.ref_cost / cost
+        };
         if let Some(shared) = &self.shared {
             shared.put(key, CachedEval { quality, speedup });
         }
@@ -744,14 +748,14 @@ impl<'b> Evaluator<'b> {
                     &self.obs,
                     span.id(),
                 ) {
-                        Ok(run) => run,
-                        Err(e) => {
-                            self.obs.counter_add("evaluator.cancelled", 1);
-                            span.end_with(&[("cancelled", Value::Bool(true))]);
-                            self.stop_reason.get_or_insert(e);
-                            return Err(e);
-                        }
-                    };
+                    Ok(run) => run,
+                    Err(e) => {
+                        self.obs.counter_add("evaluator.cancelled", 1);
+                        span.end_with(&[("cancelled", Value::Bool(true))]);
+                        self.stop_reason.get_or_insert(e);
+                        return Err(e);
+                    }
+                };
                 let record = self.score(cfg, &key, run);
                 self.obs.counter_add("evaluator.runs", 1);
                 span.end_with(&[
@@ -778,9 +782,8 @@ impl<'b> Evaluator<'b> {
     fn batch_pool(&mut self) -> Option<Pool> {
         if !self.pool_resolved {
             self.pool_resolved = true;
-            self.pool = Pool::current().or_else(|| {
-                (self.workers > 1).then(|| Pool::new(self.workers, self.obs.clone()))
-            });
+            self.pool = Pool::current()
+                .or_else(|| (self.workers > 1).then(|| Pool::new(self.workers, self.obs.clone())));
         }
         self.pool.clone()
     }
@@ -1269,7 +1272,10 @@ mod tests {
         let results = ev.evaluate_batch(&cfgs);
         assert!(results[0].is_ok());
         assert!(results[1].is_ok());
-        assert_eq!(results[2].as_ref().unwrap_err(), &EvalError::BudgetExhausted);
+        assert_eq!(
+            results[2].as_ref().unwrap_err(),
+            &EvalError::BudgetExhausted
+        );
         assert!(results[3].is_ok(), "memo hits are served past exhaustion");
         assert_eq!(ev.evaluated(), 2);
         assert_eq!(ev.stop_reason(), Some(EvalError::BudgetExhausted));
@@ -1435,7 +1441,9 @@ mod tests {
         let mut ev = EvaluatorBuilder::new(QualityThreshold::new(1e-3))
             .cancel_token(token.clone())
             .build(&b);
-        let err = ev.evaluate(&b.inner.program.config_all_single()).unwrap_err();
+        let err = ev
+            .evaluate(&b.inner.program.config_all_single())
+            .unwrap_err();
         assert_eq!(err, EvalError::Cancelled);
         assert_eq!(ev.stop_reason(), Some(EvalError::Cancelled));
         assert_eq!(ev.evaluated(), 1, "the run was admitted before firing");

@@ -169,7 +169,11 @@ mod tests {
             0.2 + i as f64 * 0.02
         });
         let a = mixp_float::MpScalar::new(&ctx, VarId::from_index(2), 1.5);
-        ctx.flop(VarId::from_index(1), &[VarId::from_index(2), VarId::from_index(0)], n as u64);
+        ctx.flop(
+            VarId::from_index(1),
+            &[VarId::from_index(2), VarId::from_index(0)],
+            n as u64,
+        );
         let mut g = mixp_float::StreamGroup::new();
         g.load(&x, 0).load(&y, 0).store(&y, 0);
         g.commit(&mut ctx, n);

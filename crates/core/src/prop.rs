@@ -706,10 +706,14 @@ mod tests {
         // Fails only for values > 500: the minimal counterexample the
         // halving search can certify must still fail the property.
         let gen = usizes(0..100_000);
-        let prop =
-            |v: &usize| -> PropResult { if *v > 500 { Err(format!("{v} > 500")) } else { Ok(()) } };
-        let (min, _msg, _steps) =
-            shrink_loop(&gen, &prop, 90_000, "90000 > 500".to_string());
+        let prop = |v: &usize| -> PropResult {
+            if *v > 500 {
+                Err(format!("{v} > 500"))
+            } else {
+                Ok(())
+            }
+        };
+        let (min, _msg, _steps) = shrink_loop(&gen, &prop, 90_000, "90000 > 500".to_string());
         assert!(min > 500, "shrunk value must still fail");
         assert!(min <= 90_000);
     }

@@ -1,8 +1,8 @@
 //! Search spaces: the units a search algorithm toggles.
 
 use mixp_float::PrecisionConfig;
-use mixp_typedeps::{ClusterId, ProgramModel};
 use mixp_float::VarId;
+use mixp_typedeps::{ClusterId, ProgramModel};
 use std::fmt;
 
 /// The granularity a search algorithm operates at.

@@ -37,8 +37,8 @@
 //! journaled — they deserve a fresh attempt on resume.
 
 use crate::job::{Job, JobError, JobResult};
-use crate::journal::JsonlJournal;
 pub use crate::journal::compact;
+use crate::journal::JsonlJournal;
 use crate::json::Json;
 use crate::registry::{benchmark_by_name, Scale};
 use mixp_core::float::VarRegistry;
@@ -118,7 +118,11 @@ fn var_names(benchmark: &str, scale: Scale) -> Option<Arc<VarNames>> {
     static TABLES: OnceLock<Mutex<HashMap<(String, Scale), Arc<VarNames>>>> = OnceLock::new();
     let tables = TABLES.get_or_init(Mutex::default);
     let key = (benchmark.to_string(), scale);
-    if let Some(names) = tables.lock().unwrap_or_else(PoisonError::into_inner).get(&key) {
+    if let Some(names) = tables
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .get(&key)
+    {
         return Some(Arc::clone(names));
     }
     let bench = benchmark_by_name(benchmark, scale)?;
@@ -202,19 +206,10 @@ pub fn failure_doc(index: usize, job: &Job, error: &JobError) -> Json {
     let mut members = vec![
         ("job".to_string(), Json::Number(index as f64)),
         ("status".to_string(), Json::String("failed".to_string())),
-        (
-            "benchmark".to_string(),
-            Json::String(job.benchmark.clone()),
-        ),
-        (
-            "algorithm".to_string(),
-            Json::String(job.algorithm.clone()),
-        ),
+        ("benchmark".to_string(), Json::String(job.benchmark.clone())),
+        ("algorithm".to_string(), Json::String(job.algorithm.clone())),
         ("threshold".to_string(), Json::Number(job.threshold)),
-        (
-            "code".to_string(),
-            Json::String(error.code().to_string()),
-        ),
+        ("code".to_string(), Json::String(error.code().to_string())),
         ("message".to_string(), Json::String(error.to_string())),
     ];
     match error {
@@ -243,12 +238,8 @@ pub fn failure_from_line(doc: &Json, jobs: &[Job]) -> Option<(usize, JobError)> 
         return None;
     }
     let error = match doc.get("code")?.as_str()? {
-        "unknown-benchmark" => {
-            JobError::UnknownBenchmark(doc.get("detail")?.as_str()?.to_string())
-        }
-        "unknown-algorithm" => {
-            JobError::UnknownAlgorithm(doc.get("detail")?.as_str()?.to_string())
-        }
+        "unknown-benchmark" => JobError::UnknownBenchmark(doc.get("detail")?.as_str()?.to_string()),
+        "unknown-algorithm" => JobError::UnknownAlgorithm(doc.get("detail")?.as_str()?.to_string()),
         "budget" => JobError::BudgetExhausted {
             budget: doc.get("budget")?.as_f64()? as usize,
         },
@@ -349,10 +340,7 @@ impl Journal {
                 "version".to_string(),
                 Json::String(STATE_VERSION.to_string()),
             ),
-            (
-                "fingerprint".to_string(),
-                Json::String(fingerprint(jobs)),
-            ),
+            ("fingerprint".to_string(), Json::String(fingerprint(jobs))),
             ("jobs".to_string(), Json::Number(jobs.len() as f64)),
         ]);
         let (journal, records) = JsonlJournal::open(path, &header, fsync_every)?;
@@ -499,12 +487,20 @@ mod tests {
         let r1 = jobs[1].execute(None, None).unwrap();
         {
             let (mut journal, state) = Journal::open(&path, &jobs, 0).unwrap();
-            assert_eq!(state.completed.len(), 1, "good line kept, torn line dropped");
+            assert_eq!(
+                state.completed.len(),
+                1,
+                "good line kept, torn line dropped"
+            );
             journal.record(1, &jobs[1], &r1).unwrap();
         }
         // The record appended after the tear must not be glued onto it.
         let state = load(&path, &jobs);
-        assert_eq!(state.completed.len(), 2, "record appended after the tear survives");
+        assert_eq!(
+            state.completed.len(),
+            2,
+            "record appended after the tear survives"
+        );
         std::fs::remove_file(&path).ok();
     }
 

@@ -134,7 +134,9 @@ impl AnalysisConfig {
 
         Ok(AnalysisConfig {
             benchmark: benchmark.clone(),
-            build_dir: str_at(body, &["build_dir"]).unwrap_or(benchmark).to_string(),
+            build_dir: str_at(body, &["build_dir"])
+                .unwrap_or(benchmark)
+                .to_string(),
             algorithm,
             metric: str_at(body, &["metric"]).unwrap_or("MAE").to_string(),
             threshold,

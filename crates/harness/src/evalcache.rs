@@ -92,7 +92,9 @@ impl Default for SharedEvalCache {
 /// cache holds plain values written in one step, so a poisoned lock cannot
 /// hold a torn entry.
 fn lock_recovering<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    mutex
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 impl SharedEvalCache {
@@ -263,7 +265,9 @@ impl SharedEvalCache {
             let mut guard = lock_recovering(journal);
             if let Some(Err(err)) = guard.as_mut().map(|j| j.append(&entry)) {
                 *guard = None;
-                eprintln!("warning: cache journal write failed: {err}; further entries stay in memory");
+                eprintln!(
+                    "warning: cache journal write failed: {err}; further entries stay in memory"
+                );
             }
         }
     }

@@ -136,10 +136,7 @@ pub fn table4(scale: Scale) -> Vec<Table4Row> {
             let (out, counts, stats) = run_config(b.as_ref(), &single, cache);
             Table4Row {
                 name: b.name().to_string(),
-                speedup: model.speedup(
-                    (&ref_counts, Some(&ref_stats)),
-                    (&counts, Some(&stats)),
-                ),
+                speedup: model.speedup((&ref_counts, Some(&ref_stats)), (&counts, Some(&stats))),
                 metric: b.metric().name().to_string(),
                 quality_loss: b.metric().compare(&ref_out, &out),
             }

@@ -295,9 +295,7 @@ mod tests {
         let mut ev = EvaluatorBuilder::new(QualityThreshold::new(1e-3)).build(&faulty);
         // The wrapper's run counter has advanced past from_eval by now, so
         // this evaluation sees NaNs and can never pass.
-        let rec = ev
-            .evaluate(&faulty.program().config_all_single())
-            .unwrap();
+        let rec = ev.evaluate(&faulty.program().config_all_single()).unwrap();
         assert!(rec.quality.is_nan());
         assert!(!rec.passes);
     }

@@ -135,9 +135,12 @@ pub fn config_from_json(
                 })
             }
         };
-        let var = program.registry().find(name).ok_or_else(|| InterchangeError {
-            message: format!("unknown variable `{name}`"),
-        })?;
+        let var = program
+            .registry()
+            .find(name)
+            .ok_or_else(|| InterchangeError {
+                message: format!("unknown variable `{name}`"),
+            })?;
         cfg.set(var, prec);
     }
     Ok(cfg)
@@ -227,10 +230,7 @@ fn metrics_json(snap: &MetricsSnapshot) -> Json {
                 .buckets
                 .iter()
                 .map(|(le, count)| {
-                    Json::Array(vec![
-                        Json::Number(*le as f64),
-                        Json::Number(*count as f64),
-                    ])
+                    Json::Array(vec![Json::Number(*le as f64), Json::Number(*count as f64)])
                 })
                 .collect();
             (
@@ -261,10 +261,7 @@ fn outcomes_doc(
         .map(|o| {
             let mut members = match &o.outcome {
                 Ok(r) => {
-                    let mut m = vec![(
-                        "status".to_string(),
-                        Json::String("ok".to_string()),
-                    )];
+                    let mut m = vec![("status".to_string(), Json::String("ok".to_string()))];
                     m.extend(result_members(r));
                     m
                 }
@@ -289,10 +286,7 @@ fn outcomes_doc(
                 ],
             };
             members.push(("attempts".to_string(), Json::Number(f64::from(o.attempts))));
-            members.push((
-                "from_checkpoint".to_string(),
-                Json::Bool(o.from_checkpoint),
-            ));
+            members.push(("from_checkpoint".to_string(), Json::Bool(o.from_checkpoint)));
             Json::Object(members)
         })
         .collect();

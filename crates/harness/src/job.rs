@@ -303,7 +303,10 @@ impl Job {
                     .zip(ev.reference_output())
                     .any(|(a, b)| a.to_bits() != b.to_bits())
             {
-                obs.event("job.corrupt", &[("outputs", Value::U64(probe_out.len() as u64))]);
+                obs.event(
+                    "job.corrupt",
+                    &[("outputs", Value::U64(probe_out.len() as u64))],
+                );
                 return Err(JobError::CorruptOutput);
             }
             drop(probe);
@@ -429,9 +432,7 @@ mod tests {
     #[test]
     fn zero_deadline_is_a_deadline_error() {
         let job = Job::new("tridiag", "DD", 1e-3, Scale::Small);
-        let err = job
-            .execute(None, Some(Fault::ZeroDeadline))
-            .unwrap_err();
+        let err = job.execute(None, Some(Fault::ZeroDeadline)).unwrap_err();
         assert_eq!(err, JobError::DeadlineExceeded { limit_ms: 0 });
         assert!(err.is_transient());
     }
@@ -480,19 +481,14 @@ mod tests {
     #[test]
     fn generous_deadline_does_not_fire() {
         let job = Job::new("tridiag", "DD", 1e-3, Scale::Small);
-        let res = job
-            .execute(Some(Duration::from_secs(3600)), None)
-            .unwrap();
+        let res = job.execute(Some(Duration::from_secs(3600)), None).unwrap();
         assert!(!res.result.dnf);
     }
 
     #[test]
     fn error_displays_are_informative() {
         for (err, needle) in [
-            (
-                JobError::UnknownBenchmark("x".into()),
-                "unknown benchmark",
-            ),
+            (JobError::UnknownBenchmark("x".into()), "unknown benchmark"),
             (JobError::Panicked("boom".into()), "boom"),
             (JobError::DeadlineExceeded { limit_ms: 7 }, "7 ms"),
             (JobError::BudgetExhausted { budget: 0 }, "budget"),

@@ -226,7 +226,10 @@ mod tests {
             let kept = if cut < head.len() {
                 head.len()
             } else {
-                full.as_bytes()[..cut].iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1)
+                full.as_bytes()[..cut]
+                    .iter()
+                    .rposition(|&b| b == b'\n')
+                    .map_or(0, |i| i + 1)
             };
             let text = std::fs::read_to_string(&path).unwrap();
             assert_eq!(text, format!("{}{}\n", &full[..kept], compact(&appended)));

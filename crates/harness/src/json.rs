@@ -235,12 +235,12 @@ impl<'a> Parser<'a> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| JsonError {
-                                    offset: self.pos,
-                                    message: "truncated \\u escape".to_string(),
+                            let hex =
+                                self.bytes.get(self.pos + 1..self.pos + 5).ok_or_else(|| {
+                                    JsonError {
+                                        offset: self.pos,
+                                        message: "truncated \\u escape".to_string(),
+                                    }
                                 })?;
                             let code = std::str::from_utf8(hex)
                                 .ok()
@@ -258,8 +258,8 @@ impl<'a> Parser<'a> {
                 }
                 Some(_) => {
                     // Consume one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| JsonError {
+                    let rest =
+                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|_| JsonError {
                             offset: self.pos,
                             message: "invalid utf-8".to_string(),
                         })?;
@@ -397,7 +397,10 @@ mod tests {
     #[test]
     fn pretty_output_reparses() {
         let v = Json::Object(vec![
-            ("name".to_string(), Json::String("eos \"quoted\"".to_string())),
+            (
+                "name".to_string(),
+                Json::String("eos \"quoted\"".to_string()),
+            ),
             (
                 "vals".to_string(),
                 Json::Array(vec![Json::Number(1.5), Json::Bool(false), Json::Null]),
@@ -412,7 +415,10 @@ mod tests {
         assert!(parse("{\"a\" 1}").unwrap_err().message.contains(":"));
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").unwrap_err().message.contains("trailing"));
-        assert!(parse("\"open").unwrap_err().message.contains("unterminated"));
+        assert!(parse("\"open")
+            .unwrap_err()
+            .message
+            .contains("unterminated"));
     }
 
     #[test]
@@ -437,16 +443,10 @@ mod tests {
             Box::new(just(Json::Null)),
             Box::new(map(bools(), Json::Bool)),
             Box::new(map(f64s(-1.0e6..1.0e6), Json::Number)),
-            Box::new(map(
-                strings_of("abcXYZ09 _-\"\\\n", 0..13),
-                Json::String,
-            )),
+            Box::new(map(strings_of("abcXYZ09 _-\"\\\n", 0..13), Json::String)),
         ];
         if depth > 0 {
-            options.push(Box::new(map(
-                vecs(arb_json(depth - 1), 0..4),
-                Json::Array,
-            )));
+            options.push(Box::new(map(vecs(arb_json(depth - 1), 0..4), Json::Array)));
             options.push(Box::new(map(
                 vecs((strings_of("abcdefuz", 1..7), arb_json(depth - 1)), 0..4),
                 |pairs| {

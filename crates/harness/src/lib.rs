@@ -80,7 +80,7 @@ pub mod watchdog;
 pub mod yamlish;
 
 pub use config::AnalysisConfig;
-pub use evalcache::{ScopedEvalCache, SharedEvalCache, ShardStats};
+pub use evalcache::{ScopedEvalCache, ShardStats, SharedEvalCache};
 pub use faultplan::{Fault, FaultPlan};
 pub use job::{Job, JobError, JobResult};
 pub use registry::{benchmark_by_name, benchmark_names, Scale};

@@ -51,7 +51,10 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out.push_str(&render_row(headers.to_vec(), &widths));
     out.push_str(&sep);
     for row in rows {
-        out.push_str(&render_row(row.iter().map(String::as_str).collect(), &widths));
+        out.push_str(&render_row(
+            row.iter().map(String::as_str).collect(),
+            &widths,
+        ));
     }
     out
 }

@@ -189,7 +189,9 @@ impl JobOutcome {
 /// slot values are plain `Option`s written in one step, so a poisoned
 /// lock cannot hold a torn value.
 fn lock_recovering<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    mutex
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// Runs one job to completion under the campaign's retry policy.
@@ -409,8 +411,9 @@ pub fn run_campaign_with_stats(
     // One pool for the whole campaign (see run_batch below); created up
     // front so the watchdog can quarantine its workers.
     let pool = (workers > 1).then(|| Pool::new(workers, opts.obs.clone()));
-    let watchdog =
-        opts.deadline.map(|deadline| Watchdog::new(deadline, opts.grace, pool.clone(), opts.obs.clone()));
+    let watchdog = opts
+        .deadline
+        .map(|deadline| Watchdog::new(deadline, opts.grace, pool.clone(), opts.obs.clone()));
     let slots: Vec<Mutex<Option<(u32, Result<JobResult, JobError>)>>> =
         jobs.iter().map(|_| Mutex::new(None)).collect();
     let restored = &restored;

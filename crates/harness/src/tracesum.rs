@@ -124,9 +124,7 @@ pub fn summarize_trace(input: &str) -> TraceSummary {
                 };
                 // An end without its start (trace truncated at the head)
                 // still counts under its own name, just untimed.
-                let (name, start) = open
-                    .remove(&(id as u64))
-                    .unwrap_or((name, None));
+                let (name, start) = open.remove(&(id as u64)).unwrap_or((name, None));
                 let stat = spans.entry(name).or_default();
                 stat.count += 1;
                 if let (Some(s), Some(e)) = (start, wall) {
@@ -207,7 +205,9 @@ pub fn render_trace_summary(summary: &TraceSummary) -> String {
             })
             .collect();
         out.push_str(&crate::report::render_table(
-            &["Span", "Count", "Open", "Total ms", "Mean ms", "P50 ms", "P90 ms"],
+            &[
+                "Span", "Count", "Open", "Total ms", "Mean ms", "P50 ms", "P90 ms",
+            ],
             &rows,
         ));
     }
@@ -303,7 +303,10 @@ mod tests {
         let s = summarize_trace(&text);
         assert_eq!(s.skipped, 0);
         assert_eq!(
-            s.spans.iter().map(|(n, st)| (n.as_str(), st.count)).collect::<Vec<_>>(),
+            s.spans
+                .iter()
+                .map(|(n, st)| (n.as_str(), st.count))
+                .collect::<Vec<_>>(),
             vec![("phase", 1), ("step", 1)]
         );
         assert_eq!(s.events, vec![("tick".to_string(), 1)]);

@@ -32,7 +32,9 @@ use std::time::{Duration, Instant};
 /// Locks a mutex, recovering the data if a previous holder panicked — the
 /// watchdog state is updated in single steps, so it cannot hold torn data.
 fn lock_recovering<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    mutex
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// One watched job attempt.
@@ -344,7 +346,10 @@ mod tests {
             token.beat();
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert!(!token.is_cancelled(), "heartbeats must hold the watchdog off");
+        assert!(
+            !token.is_cancelled(),
+            "heartbeats must hold the watchdog off"
+        );
     }
 
     #[test]

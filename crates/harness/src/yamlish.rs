@@ -103,7 +103,11 @@ impl fmt::Display for ParseError {
                 "yaml parse error at line {} (under `{key}`): {}",
                 self.line, self.message
             ),
-            None => write!(f, "yaml parse error at line {}: {}", self.line, self.message),
+            None => write!(
+                f,
+                "yaml parse error at line {}: {}",
+                self.line, self.message
+            ),
         }
     }
 }
@@ -351,9 +355,15 @@ kmeans:
             Some("kmeans")
         );
         assert_eq!(
-            v.path(&["kmeans", "analysis", "floatsmith", "extra_args", "algorithm"])
-                .unwrap()
-                .as_str(),
+            v.path(&[
+                "kmeans",
+                "analysis",
+                "floatsmith",
+                "extra_args",
+                "algorithm"
+            ])
+            .unwrap()
+            .as_str(),
             Some("ddebug")
         );
         assert_eq!(
@@ -361,7 +371,11 @@ kmeans:
             &[Value::Scalar("make".to_string())]
         );
         assert_eq!(
-            v.path(&["kmeans", "copy"]).unwrap().as_list().unwrap().len(),
+            v.path(&["kmeans", "copy"])
+                .unwrap()
+                .as_list()
+                .unwrap()
+                .len(),
             2
         );
         assert_eq!(
@@ -425,7 +439,10 @@ kmeans:
     #[test]
     fn deep_nesting_round_trips() {
         let v = parse("a:\n  b:\n    c:\n      d: 'leaf'\n").unwrap();
-        assert_eq!(v.path(&["a", "b", "c", "d"]).unwrap().as_str(), Some("leaf"));
+        assert_eq!(
+            v.path(&["a", "b", "c", "d"]).unwrap().as_str(),
+            Some("leaf")
+        );
     }
 
     #[test]

@@ -69,8 +69,7 @@ fn for_each_load(e: &Expr, f: &mut impl FnMut(&Expr)) {
 ///   `jL <= jS && L < S` (slice reads old, loop reads new) or
 ///   `jL > jS && L > S` (slice reads new, loop reads old).
 fn vectorizable(s: &Sweep) -> bool {
-    if s
-        .streams
+    if s.streams
         .iter()
         .any(|d| matches!(d, StreamDecl::Gather { .. }))
     {
@@ -84,7 +83,11 @@ fn vectorizable(s: &Sweep) -> bool {
         let (expr, dst) = match stmt {
             ElemStmt::Let { expr, .. } | ElemStmt::LetScal { expr, .. } => (expr, None),
             ElemStmt::Store {
-                arr, start, step, expr, ..
+                arr,
+                start,
+                step,
+                expr,
+                ..
             } => (expr, Some((*arr, *start, *step))),
         };
         let mut ok = true;
@@ -134,8 +137,7 @@ fn hoistable(p: &Program, body: &[Stmt]) -> bool {
     for stmt in body {
         match stmt {
             Stmt::Sweep(s) => {
-                if s
-                    .streams
+                if s.streams
                     .iter()
                     .any(|d| matches!(d, StreamDecl::Gather { .. }))
                 {
@@ -161,7 +163,10 @@ fn hoistable(p: &Program, body: &[Stmt]) -> bool {
     };
     for s in &sweeps {
         for stmt in &s.body {
-            if let ElemStmt::Store { arr, start, step, .. } = stmt {
+            if let ElemStmt::Store {
+                arr, start, step, ..
+            } = stmt
+            {
                 for k in 0..s.count {
                     let idx = (*start as i64 + k as i64 * step) as usize;
                     mark(arr.0, idx, &mut ever);
@@ -179,7 +184,11 @@ fn hoistable(p: &Program, body: &[Stmt]) -> bool {
                 let (expr, dst) = match stmt {
                     ElemStmt::Let { expr, .. } | ElemStmt::LetScal { expr, .. } => (expr, None),
                     ElemStmt::Store {
-                        arr, start, step, expr, ..
+                        arr,
+                        start,
+                        step,
+                        expr,
+                        ..
                     } => (expr, Some((arr.0, *start, *step))),
                 };
                 let mut ok = true;

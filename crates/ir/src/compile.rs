@@ -749,7 +749,10 @@ mod tests {
         p.output(y);
         let plan = p.compile(&mut all(Prec::Double), test_half);
         let out = plan.execute(&mut RecordingSink::new(), &mut Scratch::new());
-        let ys: Vec<f64> = [1.0f64, 2.0, 3.0, 4.0].iter().map(|x| x + 0.5 * 3.0).collect();
+        let ys: Vec<f64> = [1.0f64, 2.0, 3.0, 4.0]
+            .iter()
+            .map(|x| x + 0.5 * 3.0)
+            .collect();
         let zs: Vec<f64> = ys.iter().map(|y| (2.0 * y).min(9.0).exp()).collect();
         let sum: f64 = zs.iter().sum();
         assert_eq!(out[0], sum);

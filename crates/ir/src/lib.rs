@@ -55,8 +55,10 @@ mod prog;
 pub mod round;
 
 pub use plan::{ExecSink, GatherRt, Plan, RecordingSink, Scratch, StreamRt};
-pub use prog::{ArrId, BinOp, ElemStmt, Expr, Reduce, ScalId, Stmt, StreamDecl, Sweep, TabId, UnOp};
 pub use prog::Program;
+pub use prog::{
+    ArrId, BinOp, ElemStmt, Expr, Reduce, ScalId, Stmt, StreamDecl, Sweep, TabId, UnOp,
+};
 pub use round::{HalfFn, RoundMode};
 
 /// Storage precision of one IR value: the paper's three-level lattice.

@@ -101,9 +101,15 @@ pub(crate) enum VecInst {
 #[derive(Debug, Clone)]
 pub(crate) enum BOp {
     /// Push `arena[off + k * step]` (element offsets).
-    Load { off: i64, step: i64 },
+    Load {
+        off: i64,
+        step: i64,
+    },
     /// Push `arena[off + table[k]]`.
-    Gather { off: usize, table: u32 },
+    Gather {
+        off: usize,
+        table: u32,
+    },
     K(f64),
     Scal(u32),
     Local(u32),
@@ -145,9 +151,16 @@ pub(crate) enum Step {
     /// Commit groups `[first, first + n)` once per repeat, pass-major —
     /// the closed-form accounting of a hoisted loop (or a single sweep
     /// when `n == 1, repeats == 1`).
-    Groups { first: u32, n: u32, repeats: u32 },
+    Groups {
+        first: u32,
+        n: u32,
+        repeats: u32,
+    },
     /// Copy pre-rounded init data into the arena.
-    InitConst { off: usize, data: Arc<[f64]> },
+    InitConst {
+        off: usize,
+        data: Arc<[f64]>,
+    },
     VecSweep {
         count: usize,
         insts: Box<[VecInst]>,
@@ -173,11 +186,22 @@ pub(crate) enum Step {
         code: Box<[BOp]>,
         mode: RoundMode,
     },
-    SetScalar { slot: u32, value: f64 },
-    EmitScalar { slot: u32 },
+    SetScalar {
+        slot: u32,
+        value: f64,
+    },
+    EmitScalar {
+        slot: u32,
+    },
     /// Append `arena[off..off+len]` to the program output.
-    Output { off: usize, len: usize },
-    Loop { times: u32, body: Box<[Step]> },
+    Output {
+        off: usize,
+        len: usize,
+    },
+    Loop {
+        times: u32,
+        body: Box<[Step]>,
+    },
 }
 
 /// Runtime layout of one array.

@@ -66,9 +66,16 @@ pub enum UnOp {
 #[derive(Debug, Clone)]
 pub enum Expr {
     /// `arr[start + k * step]`.
-    Load { arr: ArrId, start: usize, step: i64 },
+    Load {
+        arr: ArrId,
+        start: usize,
+        step: i64,
+    },
     /// `arr[table[k]]` — a data-dependent gather (always serial).
-    Gather { arr: ArrId, table: TabId },
+    Gather {
+        arr: ArrId,
+        table: TabId,
+    },
     /// The current value of a scalar variable.
     Scal(ScalId),
     /// A sweep-local binding introduced by [`Sweep::bind`] /
@@ -83,7 +90,11 @@ pub enum Expr {
 impl Expr {
     /// Unit-stride load `arr[start + k]`.
     pub fn at(arr: ArrId, start: usize) -> Expr {
-        Expr::Load { arr, start, step: 1 }
+        Expr::Load {
+            arr,
+            start,
+            step: 1,
+        }
     }
 
     /// Strided load `arr[start + k * step]` (step may be negative or zero).
@@ -159,7 +170,11 @@ pub enum StreamDecl {
         write: bool,
     },
     /// `arr[table[k]]` — counted in bulk, traced per element.
-    Gather { arr: ArrId, table: TabId, write: bool },
+    Gather {
+        arr: ArrId,
+        table: TabId,
+        write: bool,
+    },
 }
 
 /// One element-wise statement of a sweep body.
@@ -172,7 +187,11 @@ pub enum ElemStmt {
     /// into scalar storage but is not traced as memory traffic, and the
     /// scalar slot itself is never read back (each iteration overwrites
     /// it), so the binding carries the dataflow.
-    LetScal { local: u32, scal: ScalId, expr: Expr },
+    LetScal {
+        local: u32,
+        scal: ScalId,
+        expr: Expr,
+    },
     /// `arr[start + k * step] = round(expr)`; optionally also binds the
     /// *stored* (rounded) value to a local, matching `write_rounded`'s
     /// return value.
@@ -420,7 +439,10 @@ pub enum Stmt {
     /// Appends the scalar's current value to the program output.
     EmitScalar(ScalId),
     /// A counted loop with a static trip count.
-    Repeat { times: usize, body: Vec<Stmt> },
+    Repeat {
+        times: usize,
+        body: Vec<Stmt>,
+    },
 }
 
 /// A benchmark program: declarations plus a statement body. Built once
@@ -604,7 +626,6 @@ impl Program {
     pub fn output(&mut self, arr: ArrId) {
         self.outputs.push(arr);
     }
-
 }
 
 #[cfg(test)]
@@ -647,7 +668,10 @@ mod tests {
             s.streams[0],
             StreamDecl::Affine { write: false, .. }
         ));
-        assert!(matches!(s.streams[2], StreamDecl::Affine { write: true, .. }));
+        assert!(matches!(
+            s.streams[2],
+            StreamDecl::Affine { write: true, .. }
+        ));
         p.sweep(s);
     }
 

@@ -86,7 +86,10 @@ mod tests {
 
     #[test]
     fn id_is_identity() {
-        assert_eq!(RoundMode::Id.apply(trunc_half, 1.2345678901234567), 1.2345678901234567);
+        assert_eq!(
+            RoundMode::Id.apply(trunc_half, 1.2345678901234567),
+            1.2345678901234567
+        );
     }
 
     #[test]

@@ -200,8 +200,7 @@ mod tests {
         for j in 0..2 {
             let mut expect = [0.0f64; 8];
             for i in 1..8 {
-                expect[i] =
-                    k.y_init[j * 8 + i] - expect[i - 1] * k.y_init[j * 8 + i - 1];
+                expect[i] = k.y_init[j * 8 + i] - expect[i - 1] * k.y_init[j * 8 + i - 1];
             }
             for i in 0..8 {
                 assert!((out[j * 8 + i] - expect[i]).abs() < 1e-15);

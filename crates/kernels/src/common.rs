@@ -34,13 +34,22 @@ mod tests {
 
     #[test]
     fn init_data_is_deterministic() {
-        assert_eq!(init_data("x", 0, 8, 0.0, 1.0), init_data("x", 0, 8, 0.0, 1.0));
+        assert_eq!(
+            init_data("x", 0, 8, 0.0, 1.0),
+            init_data("x", 0, 8, 0.0, 1.0)
+        );
     }
 
     #[test]
     fn init_data_differs_by_name_and_stream() {
-        assert_ne!(init_data("x", 0, 8, 0.0, 1.0), init_data("y", 0, 8, 0.0, 1.0));
-        assert_ne!(init_data("x", 0, 8, 0.0, 1.0), init_data("x", 1, 8, 0.0, 1.0));
+        assert_ne!(
+            init_data("x", 0, 8, 0.0, 1.0),
+            init_data("y", 0, 8, 0.0, 1.0)
+        );
+        assert_ne!(
+            init_data("x", 0, 8, 0.0, 1.0),
+            init_data("x", 1, 8, 0.0, 1.0)
+        );
     }
 
     #[test]

@@ -141,11 +141,7 @@ impl Benchmark for DiffPredictor {
 
     fn run(&self, ctx: &mut ExecCtx<'_>) -> Vec<f64> {
         let mut cx = MpVec::from_values(ctx, self.cx, &self.cx_init);
-        let mut px: Vec<MpVec> = self
-            .px
-            .iter()
-            .map(|&v| ctx.alloc_vec(v, self.n))
-            .collect();
+        let mut px: Vec<MpVec> = self.px.iter().map(|&v| ctx.alloc_vec(v, self.n)).collect();
         let iters = (self.passes * (self.n - 1)) as u64;
         for level in 0..4 {
             ctx.flop(self.px[level], &[self.cx], 3 * iters);
@@ -166,7 +162,9 @@ impl Benchmark for DiffPredictor {
         for _ in 0..self.passes {
             for level in 0..4 {
                 if level == 0 {
-                    diff.rebase(0, &cx, 1).rebase(1, &cx, 0).rebase(2, &px[0], 1);
+                    diff.rebase(0, &cx, 1)
+                        .rebase(1, &cx, 0)
+                        .rebase(2, &px[0], 1);
                     diff.commit(ctx, self.n - 1);
                     for i in 1..self.n {
                         let d = cx.raw()[i] - cx.raw()[i - 1];

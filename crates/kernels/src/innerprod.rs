@@ -155,12 +155,7 @@ mod tests {
         let cfg = k.program().config_all_double();
         let mut ctx = ExecCtx::new(&cfg);
         let out = k.run(&mut ctx);
-        let expect: f64 = k
-            .z_init
-            .iter()
-            .zip(&k.x_init)
-            .map(|(a, b)| a * b)
-            .sum();
+        let expect: f64 = k.z_init.iter().zip(&k.x_init).map(|(a, b)| a * b).sum();
         assert!((out[0] - expect).abs() < 1e-12);
     }
 

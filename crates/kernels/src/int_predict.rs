@@ -211,8 +211,7 @@ mod tests {
     fn coefficient_cluster_alone_is_no_win() {
         let k = IntPredict::small();
         let mut ev = Evaluator::new(&k, QualityThreshold::new(1e-3));
-        let cfg =
-            mixp_core::PrecisionConfig::from_lowered(k.program().var_count(), k.coeffs);
+        let cfg = mixp_core::PrecisionConfig::from_lowered(k.program().var_count(), k.coeffs);
         let rec = ev.evaluate(&cfg).unwrap();
         assert!(rec.compiled);
         assert!(rec.speedup < 1.1, "speedup {}", rec.speedup);

@@ -107,11 +107,7 @@ mod tests {
         assert_eq!(kernels.len(), 10);
         for (bench, (name, tv, tc)) in kernels.iter().zip(TABLE2) {
             assert_eq!(bench.name(), name);
-            assert_eq!(
-                bench.program().total_variables(),
-                tv,
-                "{name}: TV mismatch"
-            );
+            assert_eq!(bench.program().total_variables(), tv, "{name}: TV mismatch");
             assert_eq!(bench.program().total_clusters(), tc, "{name}: TC mismatch");
         }
     }

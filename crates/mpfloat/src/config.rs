@@ -215,9 +215,8 @@ impl ConfigKey {
     pub fn unpack(&self) -> Vec<Precision> {
         (0..self.len())
             .map(|i| {
-                let code = (self.words[i / Self::VARS_PER_WORD]
-                    >> (2 * (i % Self::VARS_PER_WORD)))
-                    & 0b11;
+                let code =
+                    (self.words[i / Self::VARS_PER_WORD] >> (2 * (i % Self::VARS_PER_WORD))) & 0b11;
                 match code {
                     0 => Precision::Double,
                     1 => Precision::Single,
@@ -271,8 +270,7 @@ mod tests {
 
     #[test]
     fn from_lowered_sets_exactly_those() {
-        let cfg =
-            PrecisionConfig::from_lowered(4, [VarId::from_index(0), VarId::from_index(3)]);
+        let cfg = PrecisionConfig::from_lowered(4, [VarId::from_index(0), VarId::from_index(3)]);
         assert_eq!(cfg.get(VarId::from_index(0)), Precision::Single);
         assert_eq!(cfg.get(VarId::from_index(1)), Precision::Double);
         assert_eq!(cfg.get(VarId::from_index(2)), Precision::Double);
@@ -336,8 +334,7 @@ mod tests {
         cfg.set(VarId::from_index(31), Precision::Half);
         cfg.set(VarId::from_index(69), Precision::Single);
         let key = cfg.fingerprint();
-        let rebuilt =
-            ConfigKey::from_raw(key.len(), key.words().to_vec()).expect("valid words");
+        let rebuilt = ConfigKey::from_raw(key.len(), key.words().to_vec()).expect("valid words");
         assert_eq!(rebuilt, key);
         // Wrong word count.
         assert!(ConfigKey::from_raw(70, vec![0u64; 2]).is_none());

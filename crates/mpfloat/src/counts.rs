@@ -47,14 +47,22 @@ impl OpCounts {
 
     /// Total floating-point operations at any precision (plain + heavy).
     pub fn total_flops(&self) -> u64 {
-        self.flops_f16 + self.flops_f32 + self.flops_f64
-            + self.heavy_f16 + self.heavy_f32 + self.heavy_f64
+        self.flops_f16
+            + self.flops_f32
+            + self.flops_f64
+            + self.heavy_f16
+            + self.heavy_f32
+            + self.heavy_f64
     }
 
     /// Total array-element memory operations at any precision.
     pub fn total_mem_ops(&self) -> u64 {
-        self.loads_f16 + self.loads_f32 + self.loads_f64
-            + self.stores_f16 + self.stores_f32 + self.stores_f64
+        self.loads_f16
+            + self.loads_f32
+            + self.loads_f64
+            + self.stores_f16
+            + self.stores_f32
+            + self.stores_f64
     }
 
     /// Total bytes moved to/from arrays.

@@ -27,7 +27,8 @@ impl StreamSpec {
     /// The address of the stream's `i`-th access.
     #[inline]
     pub fn addr(&self, i: usize) -> u64 {
-        self.base.wrapping_add((i as i64).wrapping_mul(self.stride) as u64)
+        self.base
+            .wrapping_add((i as i64).wrapping_mul(self.stride) as u64)
     }
 }
 
@@ -558,8 +559,18 @@ mod tests {
     #[test]
     fn default_access_group_replays_element_wise() {
         let streams = [
-            StreamSpec { base: 0x1000, elem_bytes: 8, stride: 8, write: false },
-            StreamSpec { base: 0x2000, elem_bytes: 4, stride: 4, write: true },
+            StreamSpec {
+                base: 0x1000,
+                elem_bytes: 8,
+                stride: 8,
+                write: false,
+            },
+            StreamSpec {
+                base: 0x2000,
+                elem_bytes: 4,
+                stride: 4,
+                write: true,
+            },
         ];
         let mut rec = Recorder(Vec::new());
         rec.access_group(&streams, 3);
@@ -578,7 +589,12 @@ mod tests {
 
     #[test]
     fn negative_stride_walks_backwards() {
-        let s = StreamSpec { base: 0x1010, elem_bytes: 8, stride: -8, write: false };
+        let s = StreamSpec {
+            base: 0x1010,
+            elem_bytes: 8,
+            stride: -8,
+            write: false,
+        };
         assert_eq!(s.addr(0), 0x1010);
         assert_eq!(s.addr(1), 0x1008);
         assert_eq!(s.addr(2), 0x1000);

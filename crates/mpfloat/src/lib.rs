@@ -32,8 +32,8 @@
 mod cancel;
 mod config;
 mod counts;
-pub mod half;
 mod ctx;
+pub mod half;
 mod mpvec;
 mod precision;
 mod stream;

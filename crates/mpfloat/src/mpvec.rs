@@ -323,7 +323,11 @@ impl MpVec {
         ctx.count_loads(x.prec, n as u64);
         ctx.count_stores(self.prec, n as u64);
         ctx.trace_group(
-            &[self.stream_load(0, 1), x.stream_load(0, 1), self.stream_store(0, 1)],
+            &[
+                self.stream_load(0, 1),
+                x.stream_load(0, 1),
+                self.stream_store(0, 1),
+            ],
             n,
         );
         per_prec!(self.prec, r, {
@@ -347,7 +351,11 @@ impl MpVec {
         ctx.count_loads(self.prec, n as u64);
         ctx.count_stores(self.prec, n as u64);
         ctx.trace_group(
-            &[x.stream_load(0, 1), self.stream_load(0, 1), self.stream_store(0, 1)],
+            &[
+                x.stream_load(0, 1),
+                self.stream_load(0, 1),
+                self.stream_store(0, 1),
+            ],
             n,
         );
         per_prec!(self.prec, r, {

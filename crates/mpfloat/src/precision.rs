@@ -73,10 +73,22 @@ mod tests {
 
     #[test]
     fn widest_prefers_double() {
-        assert_eq!(Precision::Single.widest(Precision::Double), Precision::Double);
-        assert_eq!(Precision::Double.widest(Precision::Single), Precision::Double);
-        assert_eq!(Precision::Single.widest(Precision::Single), Precision::Single);
-        assert_eq!(Precision::Double.widest(Precision::Double), Precision::Double);
+        assert_eq!(
+            Precision::Single.widest(Precision::Double),
+            Precision::Double
+        );
+        assert_eq!(
+            Precision::Double.widest(Precision::Single),
+            Precision::Double
+        );
+        assert_eq!(
+            Precision::Single.widest(Precision::Single),
+            Precision::Single
+        );
+        assert_eq!(
+            Precision::Double.widest(Precision::Double),
+            Precision::Double
+        );
     }
 
     #[test]

@@ -84,7 +84,12 @@ impl StreamGroup {
     }
 
     /// Declares an index load stream with an element step.
-    pub fn load_index_strided(&mut self, iv: &IndexVec, start: usize, step_elems: i64) -> &mut Self {
+    pub fn load_index_strided(
+        &mut self,
+        iv: &IndexVec,
+        start: usize,
+        step_elems: i64,
+    ) -> &mut Self {
         self.specs.push(iv.stream_load(start, step_elems));
         self.precs.push(None);
         self

@@ -30,17 +30,7 @@ pub const BUCKET_BOUNDS: [u64; 11] = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 102
 /// traced kernel run already overflows; these cover everything from one
 /// plan interpretation to a whole campaign phase.
 pub const DURATION_BOUNDS_US: [u64; 11] = [
-    8,
-    32,
-    128,
-    512,
-    2_048,
-    8_192,
-    32_768,
-    131_072,
-    524_288,
-    2_097_152,
-    8_388_608,
+    8, 32, 128, 512, 2_048, 8_192, 32_768, 131_072, 524_288, 2_097_152, 8_388_608,
 ];
 
 /// Index of the bucket an observed value falls in under the default
@@ -107,7 +97,9 @@ fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 impl Registry {
     pub(crate) fn new() -> Registry {
         Registry {
-            shards: (0..SHARD_COUNT).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..SHARD_COUNT)
+                .map(|_| Mutex::new(HashMap::new()))
+                .collect(),
         }
     }
 
@@ -123,10 +115,7 @@ impl Registry {
     /// guard discipline.
     pub(crate) fn counter_add(&self, name: &str, n: u64) {
         let mut shard = lock_recovering(self.shard(name));
-        match shard
-            .entry(name.to_string())
-            .or_insert(Metric::Counter(0))
-        {
+        match shard.entry(name.to_string()).or_insert(Metric::Counter(0)) {
             Metric::Counter(v) => *v += n,
             _ => {}
         }
@@ -268,7 +257,10 @@ impl MetricsSnapshot {
             out.push_str(&format!("  gauge {name} = {v}\n"));
         }
         for (name, h) in &self.histograms {
-            out.push_str(&format!("  histogram {name}: count={} sum={}", h.count, h.sum));
+            out.push_str(&format!(
+                "  histogram {name}: count={} sum={}",
+                h.count, h.sum
+            ));
             for &(bound, count) in &h.buckets {
                 if count > 0 {
                     out.push_str(&format!(" le{bound}={count}"));

@@ -21,7 +21,10 @@ pub(crate) enum Sink {
     /// Keep lines in memory — tests and report embedding.
     Memory(Vec<String>),
     /// Append to a JSONL file, one flushed line per record.
-    File { writer: BufWriter<File>, failed: bool },
+    File {
+        writer: BufWriter<File>,
+        failed: bool,
+    },
     /// Hand each rendered line to a callback — the fan-out hook the
     /// campaign service uses to stream a live campaign's records to its
     /// subscribers. The callback runs under the sink lock, so it must be
@@ -112,9 +115,7 @@ pub fn parse_trace_line(line: &str) -> Option<Vec<(String, Scalar)>> {
         }
     }
 
-    fn parse_string(
-        chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>,
-    ) -> Option<String> {
+    fn parse_string(chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>) -> Option<String> {
         match chars.next() {
             Some((_, '"')) => {}
             _ => return None,

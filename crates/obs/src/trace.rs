@@ -409,7 +409,9 @@ mod tests {
         let child_start = parse_trace_line(&obs.trace_lines()[1]).expect("parses");
         assert_eq!(
             get(&child_start, "parent"),
-            Some(&Scalar::Num(job.id().expect("enabled span has an id") as f64))
+            Some(&Scalar::Num(
+                job.id().expect("enabled span has an id") as f64
+            ))
         );
         eval.end_with(&[]);
         job.end_with(&[]);
@@ -450,10 +452,12 @@ mod tests {
         let seqs: Vec<f64> = obs
             .trace_lines()
             .iter()
-            .map(|l| match get(&parse_trace_line(l).expect("parses"), "seq") {
-                Some(Scalar::Num(n)) => *n,
-                other => panic!("bad seq {other:?}"),
-            })
+            .map(
+                |l| match get(&parse_trace_line(l).expect("parses"), "seq") {
+                    Some(Scalar::Num(n)) => *n,
+                    other => panic!("bad seq {other:?}"),
+                },
+            )
             .collect();
         assert_eq!(seqs, [0.0, 1.0, 2.0, 3.0, 4.0]);
         // No wall clock requested → no wall_us field anywhere.

@@ -182,7 +182,9 @@ pub struct CacheSim {
 enum Access {
     Hit,
     /// Missed; `true` if a dirty victim was evicted.
-    Miss { dirty_evict: bool },
+    Miss {
+        dirty_evict: bool,
+    },
 }
 
 impl CacheSim {
@@ -356,10 +358,7 @@ impl MemoryTracer for CacheSim {
         // on every iteration, so the memo/run machinery can never fire —
         // when the entire group is like that (the lock-step batched-system
         // sweeps), skip straight to the plain scalar walk.
-        if streams
-            .iter()
-            .all(|s| s.stride.unsigned_abs() > line_mask)
-        {
+        if streams.iter().all(|s| s.stride.unsigned_abs() > line_mask) {
             let mut addrs = std::mem::take(&mut self.scratch);
             addrs.clear();
             addrs.extend(streams.iter().map(|s| StreamState {
@@ -565,10 +564,7 @@ impl MemoryTracer for Hierarchy {
         let line_mask = (1u64 << line_shift) - 1;
         // All-far-strided groups change block every iteration; see
         // [`CacheSim::access_group`].
-        if streams
-            .iter()
-            .all(|s| s.stride.unsigned_abs() > line_mask)
-        {
+        if streams.iter().all(|s| s.stride.unsigned_abs() > line_mask) {
             let mut addrs = std::mem::take(&mut self.scratch);
             addrs.clear();
             addrs.extend(streams.iter().map(|s| StreamState {
@@ -826,7 +822,10 @@ mod tests {
         assert!(!c.poisoned && p.poisoned);
         // The poison is a marker, not a perturbation: the simulation itself
         // is untouched.
-        assert_eq!((c.accesses, c.l1_hits, c.misses), (p.accesses, p.l1_hits, p.misses));
+        assert_eq!(
+            (c.accesses, c.l1_hits, c.misses),
+            (p.accesses, p.l1_hits, p.misses)
+        );
         // And the late hook poisons an already-running hierarchy too.
         clean.poison();
         assert!(clean.stats().poisoned);
@@ -863,11 +862,7 @@ mod tests {
         }
     }
 
-    fn arbitrary_streams(
-        bases: &[u64],
-        strides: &[i64],
-        writes: &[bool],
-    ) -> Vec<StreamSpec> {
+    fn arbitrary_streams(bases: &[u64], strides: &[i64], writes: &[bool]) -> Vec<StreamSpec> {
         bases
             .iter()
             .zip(strides)
@@ -931,8 +926,17 @@ mod tests {
     /// stale hits across group boundaries after unrelated traffic.
     #[test]
     fn group_memo_does_not_survive_interleaved_scalar_traffic() {
-        let geom = LevelParams { sets: 2, ways: 1, line: 64 };
-        let streams = [StreamSpec { base: 0, elem_bytes: 8, stride: 0, write: false }];
+        let geom = LevelParams {
+            sets: 2,
+            ways: 1,
+            line: 64,
+        };
+        let streams = [StreamSpec {
+            base: 0,
+            elem_bytes: 8,
+            stride: 0,
+            write: false,
+        }];
         let mut fast = CacheSim::new(geom);
         let mut slow = CacheSim::new(geom);
         fast.access_group(&streams, 4);

@@ -203,7 +203,9 @@ mod tests {
         assert!(m.cost(&c, Some(&clean)).is_finite());
         // And the speedup built on a poisoned side is non-finite too —
         // nothing downstream can mistake it for a real number.
-        assert!(m.speedup((&c, Some(&clean)), (&c, Some(&poisoned))).is_nan());
+        assert!(m
+            .speedup((&c, Some(&clean)), (&c, Some(&poisoned)))
+            .is_nan());
     }
 
     #[test]

@@ -22,7 +22,9 @@ use std::time::Duration;
 /// guarded this way is updated in one step, so a panicking holder cannot
 /// leave a torn value behind.
 pub(crate) fn lock_recovering<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    mutex
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// Type-erased batch state shared between the caller and its claimers.

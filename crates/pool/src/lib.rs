@@ -317,7 +317,9 @@ impl Pool {
             obs,
         });
         inner.obs.counter_add("pool.created", 1);
-        let join = (0..threads).map(|index| spawn_worker(&inner, index, 0)).collect();
+        let join = (0..threads)
+            .map(|index| spawn_worker(&inner, index, 0))
+            .collect();
         *lock_recovering(&inner.join) = join;
         Pool { inner }
     }
@@ -617,9 +619,10 @@ fn worker_main(inner: Arc<PoolInner>, index: usize, epoch: usize) {
     let live = inner.live.fetch_add(1, Ordering::Relaxed) + 1;
     inner.peak.fetch_max(live, Ordering::Relaxed);
     inner.obs.gauge_set("pool.live_threads", live as f64);
-    inner
-        .obs
-        .gauge_set("pool.peak_threads", inner.peak.load(Ordering::Relaxed) as f64);
+    inner.obs.gauge_set(
+        "pool.peak_threads",
+        inner.peak.load(Ordering::Relaxed) as f64,
+    );
     loop {
         match inner.find_task(slot) {
             // Quarantined: a replacement owns the deque now. Exit without
@@ -845,7 +848,10 @@ mod tests {
     #[test]
     fn active_worker_is_pool_scoped_and_epoch_checked() {
         let pool = Pool::sized(2);
-        assert!(pool.active_worker().is_none(), "external threads are not workers");
+        assert!(
+            pool.active_worker().is_none(),
+            "external threads are not workers"
+        );
         let other = Pool::sized(2);
         let worker_saw = AtomicUsize::new(usize::MAX);
         let barrier = Barrier::new(2);

@@ -54,8 +54,7 @@ impl SearchAlgorithm for Combinational {
             let program = ev.program().clone();
             // Evaluate single-cluster configs until the budget runs out,
             // fanning each chunk across the evaluator's workers.
-            let cfgs: Vec<PrecisionConfig> =
-                (0..n).map(|u| space.config(&program, [u])).collect();
+            let cfgs: Vec<PrecisionConfig> = (0..n).map(|u| space.config(&program, [u])).collect();
             for chunk in cfgs.chunks(width) {
                 if batch_passes(ev, chunk).is_err() {
                     break;

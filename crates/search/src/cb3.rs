@@ -74,9 +74,10 @@ impl SearchAlgorithm for MultiPrecisionExhaustive {
             if cfgs.is_empty() {
                 break;
             }
-            let _chunk = ev
-                .obs()
-                .span("cb3.chunk", &[("assignments", Value::U64(cfgs.len() as u64))]);
+            let _chunk = ev.obs().span(
+                "cb3.chunk",
+                &[("assignments", Value::U64(cfgs.len() as u64))],
+            );
             if batch_passes(ev, &cfgs).is_err() {
                 return finish(ev, true);
             }

@@ -44,8 +44,7 @@ impl SearchAlgorithm for Compositional {
         // Phase 1: every unit individually — one independent batch, since
         // no trial depends on another's outcome.
         let units = obs.span("cm.units", &[("units", Value::U64(n as u64))]);
-        let unit_cfgs: Vec<PrecisionConfig> =
-            (0..n).map(|u| space.config(&program, [u])).collect();
+        let unit_cfgs: Vec<PrecisionConfig> = (0..n).map(|u| space.config(&program, [u])).collect();
         let mut passing: Vec<BTreeSet<usize>> = Vec::new();
         match batch_passes(ev, &unit_cfgs) {
             Ok(flags) => {

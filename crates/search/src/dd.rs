@@ -114,8 +114,7 @@ impl SearchAlgorithm for DeltaDebug {
                     .iter()
                     .map(|c| high.difference(c).copied().collect())
                     .collect();
-                let cfgs: Vec<PrecisionConfig> =
-                    complements.iter().map(&config_for).collect();
+                let cfgs: Vec<PrecisionConfig> = complements.iter().map(&config_for).collect();
                 match first_passing(ev, &cfgs) {
                     Ok(Some(i)) => {
                         high = complements[i].clone();

@@ -109,22 +109,21 @@ impl SearchAlgorithm for Genetic {
         // Scores a whole generation in one batch — the GA's natural
         // frontier, since fitness values are only consumed after the full
         // generation is evaluated. `None` propagates budget exhaustion.
-        let score_generation =
-            |ev: &mut Evaluator<'_>, pop: &[Individual]| -> Option<Vec<f64>> {
-                let cfgs: Vec<_> = pop
-                    .iter()
-                    .map(|ind| space.config_from_mask(ev.program(), ind))
-                    .collect();
-                let mut scores = Vec::with_capacity(pop.len());
-                for res in ev.evaluate_batch(&cfgs) {
-                    match res {
-                        Ok(rec) if rec.passes => scores.push(rec.speedup),
-                        Ok(_) => scores.push(0.0),
-                        Err(_) => return None,
-                    }
+        let score_generation = |ev: &mut Evaluator<'_>, pop: &[Individual]| -> Option<Vec<f64>> {
+            let cfgs: Vec<_> = pop
+                .iter()
+                .map(|ind| space.config_from_mask(ev.program(), ind))
+                .collect();
+            let mut scores = Vec::with_capacity(pop.len());
+            for res in ev.evaluate_batch(&cfgs) {
+                match res {
+                    Ok(rec) if rec.passes => scores.push(rec.speedup),
+                    Ok(_) => scores.push(0.0),
+                    Err(_) => return None,
                 }
-                Some(scores)
-            };
+            }
+            Some(scores)
+        };
 
         let obs = ev.obs();
         let mut population: Vec<Individual> = (0..p.population)

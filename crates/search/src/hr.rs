@@ -25,10 +25,7 @@ impl Hierarchical {
 
 /// Evaluates the configuration that lowers exactly `vars`; returns whether
 /// it passed.
-pub(crate) fn try_lower(
-    ev: &mut Evaluator<'_>,
-    vars: &BTreeSet<VarId>,
-) -> Result<bool, EvalError> {
+pub(crate) fn try_lower(ev: &mut Evaluator<'_>, vars: &BTreeSet<VarId>) -> Result<bool, EvalError> {
     if vars.is_empty() {
         return Ok(false);
     }

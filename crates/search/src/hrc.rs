@@ -44,10 +44,7 @@ fn close_over_clusters(ev: &Evaluator<'_>, vars: &BTreeSet<VarId>) -> BTreeSet<V
     closed
 }
 
-fn try_lower_closed(
-    ev: &mut Evaluator<'_>,
-    vars: &BTreeSet<VarId>,
-) -> Result<bool, EvalError> {
+fn try_lower_closed(ev: &mut Evaluator<'_>, vars: &BTreeSet<VarId>) -> Result<bool, EvalError> {
     let closed = close_over_clusters(ev, vars);
     if closed.is_empty() {
         return Ok(false);
@@ -66,8 +63,7 @@ fn try_lower_closed_batch(
     sets: &[BTreeSet<VarId>],
 ) -> Result<Vec<bool>, EvalError> {
     let var_count = ev.program().var_count();
-    let closed: Vec<BTreeSet<VarId>> =
-        sets.iter().map(|s| close_over_clusters(ev, s)).collect();
+    let closed: Vec<BTreeSet<VarId>> = sets.iter().map(|s| close_over_clusters(ev, s)).collect();
     let nonempty: Vec<usize> = closed
         .iter()
         .enumerate()
@@ -92,9 +88,7 @@ fn try_lower_closed_batch(
 /// The cluster-closed hierarchical descent: modules, then functions, then
 /// whole clusters — sibling candidates probed in lookahead groups of the
 /// evaluator's worker width (at width 1, the historical depth-first order).
-fn passing_closed_components(
-    ev: &mut Evaluator<'_>,
-) -> Result<Vec<BTreeSet<VarId>>, EvalError> {
+fn passing_closed_components(ev: &mut Evaluator<'_>) -> Result<Vec<BTreeSet<VarId>>, EvalError> {
     let obs = ev.obs();
     let width = ev.workers().max(1);
     let mut accepted: Vec<BTreeSet<VarId>> = Vec::new();
@@ -248,13 +242,7 @@ mod tests {
             let stock = crate::Hierarchical::new().search(&mut ev2);
             let p = plus.speedup().unwrap_or(0.0);
             let s = stock.speedup().unwrap_or(0.0);
-            assert!(
-                p >= s - 1e-9,
-                "{}: HR+ {} < HR {}",
-                bench.name(),
-                p,
-                s
-            );
+            assert!(p >= s - 1e-9, "{}: HR+ {} < HR {}", bench.name(), p, s);
             assert!(plus.evaluated <= stock.evaluated.max(plus.evaluated));
         }
     }

@@ -87,12 +87,8 @@ pub fn algorithm_by_name(name: &str) -> Option<Box<dyn SearchAlgorithm>> {
         "hc" | "hierarchical-compositional" | "hier-comp" => {
             Some(Box::new(HierCompositional::new()))
         }
-        "hr+" | "hrplus" | "cluster-hierarchical" => {
-            Some(Box::new(ClusterHierarchical::new()))
-        }
-        "cb3" | "multi-precision-exhaustive" => {
-            Some(Box::new(MultiPrecisionExhaustive::new()))
-        }
+        "hr+" | "hrplus" | "cluster-hierarchical" => Some(Box::new(ClusterHierarchical::new())),
+        "cb3" | "multi-precision-exhaustive" => Some(Box::new(MultiPrecisionExhaustive::new())),
         "ddv" | "variable-delta-debugging" => Some(Box::new(VariableDeltaDebug::new())),
         "ga" | "genetic" => Some(Box::new(Genetic::new(GeneticParams::default()))),
         _ => None,

@@ -379,7 +379,14 @@ fn main() {
         print!(
             "{}",
             render_table(
-                &["Benchmark", "Algorithm", "Threshold", "Speedup", "Quality", "Evaluated"],
+                &[
+                    "Benchmark",
+                    "Algorithm",
+                    "Threshold",
+                    "Speedup",
+                    "Quality",
+                    "Evaluated"
+                ],
                 &rows
             )
         );

@@ -144,11 +144,7 @@ impl Client {
     /// # Errors
     ///
     /// Socket-level errors only.
-    pub fn subscribe(
-        &mut self,
-        id: u64,
-        mut on_record: impl FnMut(&str),
-    ) -> std::io::Result<Json> {
+    pub fn subscribe(&mut self, id: u64, mut on_record: impl FnMut(&str)) -> std::io::Result<Json> {
         let ack = self.request(&id_line("subscribe", id))?;
         if ack.get("ok") != Some(&Json::Bool(true)) {
             return Ok(ack);

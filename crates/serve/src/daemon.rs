@@ -42,7 +42,7 @@
 
 use crate::journal::QueueJournal;
 use crate::protocol::{
-    error_line, ok_line, parse_request, scale_tag, Request, RejectKind, MAX_LINE_BYTES,
+    error_line, ok_line, parse_request, scale_tag, RejectKind, Request, MAX_LINE_BYTES,
 };
 use crate::state::{Admission, Campaign, CellSlot, ServeConfig, ServiceState, Terminal, WaveCell};
 use mixp_core::Obs;
@@ -214,7 +214,9 @@ impl Shared {
 /// Locks a mutex, recovering from a poisoned lock (a panicking connection
 /// thread must not wedge the daemon).
 fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    mutex
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 fn accept_loop(listener: &UnixListener, shared: &Arc<Shared>) {
@@ -293,7 +295,9 @@ fn serve_connection(stream: UnixStream, shared: &Arc<Shared>) {
                 let response = {
                     let state = lock(&shared.state);
                     match state.campaign(id) {
-                        None => error_line(RejectKind::UnknownCampaign, &format!("no campaign {id}")),
+                        None => {
+                            error_line(RejectKind::UnknownCampaign, &format!("no campaign {id}"))
+                        }
                         Some(campaign) => ok_line(campaign_doc(campaign, true)),
                     }
                 };
@@ -407,7 +411,10 @@ fn handle_cancel(shared: &Arc<Shared>, id: u64) -> String {
                 eprintln!("warning: queue journal append failed: {err}");
             }
         }
-        (known, known && state.campaign(id).and_then(Campaign::terminal).is_some())
+        (
+            known,
+            known && state.campaign(id).and_then(Campaign::terminal).is_some(),
+        )
     };
     if !known {
         return error_line(RejectKind::UnknownCampaign, &format!("no campaign {id}"));
@@ -441,12 +448,18 @@ fn serve_subscription(
             Some(campaign) if campaign.terminal().is_some() => None,
             Some(_) => {
                 let (sender, receiver) = sync_channel(SUBSCRIBER_BUFFER);
-                lock(&shared.subscribers).entry(id).or_default().push(sender);
+                lock(&shared.subscribers)
+                    .entry(id)
+                    .or_default()
+                    .push(sender);
                 Some(receiver)
             }
         }
     };
-    send_line(writer, &ok_line(vec![("id".to_string(), Json::Number(id as f64))]))?;
+    send_line(
+        writer,
+        &ok_line(vec![("id".to_string(), Json::Number(id as f64))]),
+    )?;
     if let Some(receiver) = receiver {
         // The stream ends when the dispatcher drops the campaign's senders
         // at terminal (recv errs), or earlier if the peer hangs up.
@@ -645,19 +658,13 @@ fn campaign_runtime(shared: &Arc<Shared>, campaign: &Campaign) -> CampaignRuntim
 fn campaign_doc(campaign: &Campaign, with_cells: bool) -> Vec<(String, Json)> {
     let mut members = vec![
         ("id".to_string(), Json::Number(campaign.id as f64)),
-        (
-            "tenant".to_string(),
-            Json::String(campaign.tenant.clone()),
-        ),
+        ("tenant".to_string(), Json::String(campaign.tenant.clone())),
         (
             "state".to_string(),
             Json::String(campaign.state_tag().to_string()),
         ),
         ("cost".to_string(), Json::Number(campaign.cost as f64)),
-        (
-            "jobs".to_string(),
-            Json::Number(campaign.jobs.len() as f64),
-        ),
+        ("jobs".to_string(), Json::Number(campaign.jobs.len() as f64)),
     ];
     if !with_cells {
         return members;
@@ -688,10 +695,7 @@ fn campaign_doc(campaign: &Campaign, with_cells: bool) -> Vec<(String, Json)> {
                         m
                     }
                 };
-                doc.push((
-                    "attempts".to_string(),
-                    Json::Number(f64::from(*attempts)),
-                ));
+                doc.push(("attempts".to_string(), Json::Number(f64::from(*attempts))));
                 doc.push((
                     "scale".to_string(),
                     Json::String(scale_tag(job.scale).to_string()),
@@ -705,10 +709,7 @@ fn campaign_doc(campaign: &Campaign, with_cells: bool) -> Vec<(String, Json)> {
 }
 
 fn state_only_cell(tag: &str) -> Json {
-    Json::Object(vec![(
-        "state".to_string(),
-        Json::String(tag.to_string()),
-    )])
+    Json::Object(vec![("state".to_string(), Json::String(tag.to_string()))])
 }
 
 /// Renders the `list` response: campaign summaries plus tenant ledgers.

@@ -87,10 +87,7 @@ impl QueueJournal {
     pub fn record_admission(&mut self, campaign: &Campaign) -> std::io::Result<()> {
         let mut members = vec![
             ("id".to_string(), Json::Number(campaign.id as f64)),
-            (
-                "tenant".to_string(),
-                Json::String(campaign.tenant.clone()),
-            ),
+            ("tenant".to_string(), Json::String(campaign.tenant.clone())),
         ];
         if let Some(key) = &campaign.key {
             members.push(("key".to_string(), Json::String(key.clone())));
@@ -152,10 +149,7 @@ impl QueueJournal {
                     campaign_field,
                     ("job".to_string(), Json::Number(index as f64)),
                     attempts_field,
-                    (
-                        "code".to_string(),
-                        Json::String(error.code().to_string()),
-                    ),
+                    ("code".to_string(), Json::String(error.code().to_string())),
                 ];
                 match error {
                     JobError::Panicked(payload) => {
@@ -204,10 +198,7 @@ fn replay(records: &[Json]) -> Vec<Campaign> {
                 let Some(campaign) = campaigns.get_mut(&(id as u64)) else {
                     continue;
                 };
-                let attempts = doc
-                    .get("attempts")
-                    .and_then(Json::as_f64)
-                    .unwrap_or(0.0) as u32;
+                let attempts = doc.get("attempts").and_then(Json::as_f64).unwrap_or(0.0) as u32;
                 let decoded = if kind == "cell" {
                     result_from_line(doc, &campaign.jobs).map(|(i, r)| (i, Ok(r)))
                 } else {
@@ -230,10 +221,7 @@ fn replay(records: &[Json]) -> Vec<Campaign> {
                 let Some(index) = doc.get("job").and_then(Json::as_f64) else {
                     continue;
                 };
-                let attempts = doc
-                    .get("attempts")
-                    .and_then(Json::as_f64)
-                    .unwrap_or(0.0) as u32;
+                let attempts = doc.get("attempts").and_then(Json::as_f64).unwrap_or(0.0) as u32;
                 let error = match doc.get("code").and_then(Json::as_str) {
                     Some("panic") => JobError::Panicked(
                         doc.get("detail")
@@ -242,10 +230,7 @@ fn replay(records: &[Json]) -> Vec<Campaign> {
                             .to_string(),
                     ),
                     Some("deadline") => JobError::DeadlineExceeded {
-                        limit_ms: doc
-                            .get("limit_ms")
-                            .and_then(Json::as_f64)
-                            .unwrap_or(0.0) as u128,
+                        limit_ms: doc.get("limit_ms").and_then(Json::as_f64).unwrap_or(0.0) as u128,
                     },
                     _ => continue,
                 };
@@ -472,7 +457,11 @@ mod tests {
         }
         let (_, restored) = QueueJournal::open(&path).unwrap();
         let ids: Vec<u64> = restored.iter().map(|c| c.id).collect();
-        assert_eq!(ids, vec![1, 2], "the admission appended after the tear survives");
+        assert_eq!(
+            ids,
+            vec![1, 2],
+            "the admission appended after the tear survives"
+        );
         std::fs::remove_file(&path).ok();
     }
 

@@ -406,11 +406,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             }
             let key = match doc.get("key") {
                 None => None,
-                Some(k) => Some(
-                    k.as_str()
-                        .ok_or("key must be a string")?
-                        .to_string(),
-                ),
+                Some(k) => Some(k.as_str().ok_or("key must be a string")?.to_string()),
             };
             let jobs_doc = doc
                 .get("jobs")
@@ -527,9 +523,9 @@ mod tests {
         for line in [
             "",
             "garbage",
-            "{\"op\":\"submit\"",          // torn
-            "{\"op\":\"nope\"}",           // unknown verb
-            "{\"op\":\"status\"}",         // missing id
+            "{\"op\":\"submit\"",  // torn
+            "{\"op\":\"nope\"}",   // unknown verb
+            "{\"op\":\"status\"}", // missing id
             "{\"op\":\"status\",\"id\":-1}",
             "{\"op\":\"status\",\"id\":1.5}",
             "{\"op\":\"submit\",\"tenant\":\"t\",\"jobs\":[]}",
@@ -565,7 +561,10 @@ mod tests {
                 tenant: Some("a".to_string())
             }
         );
-        assert_eq!(parse_request("{\"op\":\"shutdown\"}").unwrap(), Request::Shutdown);
+        assert_eq!(
+            parse_request("{\"op\":\"shutdown\"}").unwrap(),
+            Request::Shutdown
+        );
     }
 
     #[test]
@@ -587,10 +586,8 @@ mod tests {
 
     #[test]
     fn job_budget_and_scale_default_sensibly() {
-        let doc = parse(
-            "{\"benchmark\":\"tridiag\",\"algorithm\":\"DD\",\"threshold\":0.001}",
-        )
-        .unwrap();
+        let doc =
+            parse("{\"benchmark\":\"tridiag\",\"algorithm\":\"DD\",\"threshold\":0.001}").unwrap();
         let job = job_from_doc(&doc).expect("parses");
         assert_eq!(job.budget, Job::DEFAULT_BUDGET);
         assert_eq!(job.scale, Scale::Small);

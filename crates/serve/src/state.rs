@@ -545,7 +545,10 @@ mod tests {
         }
         // Cancelling one (it has no in-flight cells) frees a slot.
         assert!(state.cancel(a));
-        assert_eq!(state.campaign(a).unwrap().terminal(), Some(Terminal::Cancelled));
+        assert_eq!(
+            state.campaign(a).unwrap().terminal(),
+            Some(Terminal::Cancelled)
+        );
         admit(&mut state, "t2", &[1]);
     }
 
@@ -637,9 +640,18 @@ mod tests {
         assert_eq!(
             wave,
             vec![
-                WaveCell { campaign: old, index: 0 },
-                WaveCell { campaign: old, index: 1 },
-                WaveCell { campaign: new, index: 0 },
+                WaveCell {
+                    campaign: old,
+                    index: 0
+                },
+                WaveCell {
+                    campaign: old,
+                    index: 1
+                },
+                WaveCell {
+                    campaign: new,
+                    index: 0
+                },
             ]
         );
     }
@@ -657,12 +669,7 @@ mod tests {
         // No further cells dispatch.
         assert!(state.pick_wave(4).is_empty());
         // The in-flight cell completing makes it terminal-cancelled.
-        let terminal = state.record(
-            id,
-            wave[0].index,
-            1,
-            Err(JobError::NonFiniteQuality),
-        );
+        let terminal = state.record(id, wave[0].index, 1, Err(JobError::NonFiniteQuality));
         assert_eq!(terminal, Some(Terminal::Cancelled));
     }
 

@@ -146,10 +146,9 @@ impl Clustering {
     /// Whether `cfg` assigns a uniform precision within every cluster (i.e.
     /// would compile after Typeforge's transformation).
     pub fn is_valid(&self, cfg: &PrecisionConfig) -> bool {
-        self.members.iter().all(|ms| {
-            ms.windows(2)
-                .all(|w| cfg.get(w[0]) == cfg.get(w[1]))
-        })
+        self.members
+            .iter()
+            .all(|ms| ms.windows(2).all(|w| cfg.get(w[0]) == cfg.get(w[1])))
     }
 }
 

@@ -376,7 +376,11 @@ mod tests {
         let mut cfg = pm.config_all_double();
         cfg.set(arr, Precision::Single); // `input` stays double: won't compile
         let err = pm.validate(&cfg).unwrap_err();
-        assert!(err.reason.contains("split"), "unexpected reason: {}", err.reason);
+        assert!(
+            err.reason.contains("split"),
+            "unexpected reason: {}",
+            err.reason
+        );
     }
 
     #[test]

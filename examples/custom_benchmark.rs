@@ -15,11 +15,11 @@
 //! scheme over three time levels) and tunes it with delta-debugging and
 //! the exhaustive baseline.
 
+use mixp_core::synth::SplitMix64;
 use mixp_core::{
     Benchmark, BenchmarkKind, Evaluator, ExecCtx, MetricKind, ProgramBuilder, ProgramModel,
     QualityThreshold, VarId,
 };
-use mixp_core::synth::SplitMix64;
 use mixp_float::MpVec;
 use mixp_search::{Combinational, DeltaDebug, SearchAlgorithm};
 

@@ -38,9 +38,17 @@ fn main() {
     // 5. Inspect the best configuration: which clusters went single?
     if let Some(best) = &result.best {
         let space = SpaceView::new(program);
-        println!("lowered variables ({} of {}):", best.config.lowered_count(), program.total_variables());
+        println!(
+            "lowered variables ({} of {}):",
+            best.config.lowered_count(),
+            program.total_variables()
+        );
         for v in best.config.lowered_vars() {
-            println!("  {} ({})", program.registry().name(v), space.cluster_label(v));
+            println!(
+                "  {} ({})",
+                program.registry().name(v),
+                space.cluster_label(v)
+            );
         }
     }
 }

@@ -32,7 +32,10 @@ fn main() {
     // Submit a two-cell campaign for tenant "alice", with an idempotency key.
     let submit = r#"{"op":"submit","tenant":"alice","key":"nightly-7","jobs":[{"benchmark":"tridiag","algorithm":"DD","threshold":0.001,"budget":8},{"benchmark":"innerprod","algorithm":"CM","threshold":0.001,"budget":6}]}"#;
     let ack = exchange(&mut client, submit);
-    let id = ack.get("id").and_then(mixp_harness::json::Json::as_f64).expect("id") as u64;
+    let id = ack
+        .get("id")
+        .and_then(mixp_harness::json::Json::as_f64)
+        .expect("id") as u64;
 
     // Resubmitting the same key dedupes instead of admitting twice.
     exchange(&mut client, submit);

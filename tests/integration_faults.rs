@@ -46,7 +46,10 @@ fn mixed_fault_campaign_completes_with_typed_reasons() {
     assert_eq!(outcomes.len(), 5);
     assert!(outcomes[0].outcome.is_ok(), "healthy cell unaffected");
     assert!(matches!(outcomes[1].outcome, Err(JobError::Panicked(_))));
-    assert!(matches!(outcomes[2].outcome, Err(JobError::NonFiniteQuality)));
+    assert!(matches!(
+        outcomes[2].outcome,
+        Err(JobError::NonFiniteQuality)
+    ));
     assert!(matches!(
         outcomes[3].outcome,
         Err(JobError::BudgetExhausted { .. })
@@ -425,7 +428,14 @@ fn poisoned_cache_stats_price_evaluations_as_nan_without_panicking() {
 /// seed yields the same set of failed cells on every run.
 #[test]
 fn seeded_fault_campaigns_are_reproducible() {
-    let jobs = jobs(&["tridiag", "innerprod", "eos", "hydro-1d", "iccg", "planckian"]);
+    let jobs = jobs(&[
+        "tridiag",
+        "innerprod",
+        "eos",
+        "hydro-1d",
+        "iccg",
+        "planckian",
+    ]);
     let fates = |seed: u64| -> Vec<Option<&'static str>> {
         let opts = CampaignOptions {
             workers: 2,

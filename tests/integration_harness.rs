@@ -77,8 +77,8 @@ fn shipped_config_files_are_valid() {
             continue;
         }
         let text = std::fs::read_to_string(&path).unwrap();
-        let cfg = AnalysisConfig::from_yaml(&text)
-            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let cfg =
+            AnalysisConfig::from_yaml(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         assert!(
             mixp_harness::benchmark_by_name(&cfg.benchmark, Scale::Small).is_some(),
             "{}: unknown benchmark {}",

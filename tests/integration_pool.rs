@@ -5,7 +5,9 @@
 //! its evaluator and plan-compile spans under the campaign's per-job
 //! spans.
 
-use mixp_core::{EvaluatorBuilder, Granularity, Obs, PrecisionConfig, QualityThreshold, SearchSpace};
+use mixp_core::{
+    EvaluatorBuilder, Granularity, Obs, PrecisionConfig, QualityThreshold, SearchSpace,
+};
 use mixp_harness::scheduler::{run_campaign, CampaignOptions};
 use mixp_harness::{benchmark_by_name, Job, Scale};
 
@@ -134,7 +136,10 @@ fn standalone_evaluator_reuses_one_private_pool() {
 fn field_u64(line: &str, key: &str) -> Option<u64> {
     let needle = format!("\"{key}\":");
     let at = line.find(&needle)? + needle.len();
-    let digits: String = line[at..].chars().take_while(char::is_ascii_digit).collect();
+    let digits: String = line[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
     digits.parse().ok()
 }
 

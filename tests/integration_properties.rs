@@ -5,9 +5,8 @@
 use mixp_core::prop::{bools, u64s, usizes, vecs};
 use mixp_core::synth::SplitMix64;
 use mixp_core::{
-    prop_assert, prop_assert_eq, prop_check, Benchmark, BenchmarkKind, Evaluator,
-    EvaluatorBuilder, ExecCtx, MetricKind, PrecisionConfig, ProgramBuilder, ProgramModel,
-    QualityThreshold, VarId,
+    prop_assert, prop_assert_eq, prop_check, Benchmark, BenchmarkKind, Evaluator, EvaluatorBuilder,
+    ExecCtx, MetricKind, PrecisionConfig, ProgramBuilder, ProgramModel, QualityThreshold, VarId,
 };
 use mixp_float::{MpScalar, MpVec};
 use mixp_search::all_algorithms;
@@ -271,9 +270,7 @@ fn traced_and_untraced_benchmark_runs_are_bit_identical() {
     }
     impl mixp_float::MemoryTracer for Fingerprint {
         fn access(&mut self, addr: u64, bytes: u8, write: bool) {
-            self.hash = self
-                .hash
-                .wrapping_mul(0x0000_0100_0000_01b3)
+            self.hash = self.hash.wrapping_mul(0x0000_0100_0000_01b3)
                 ^ addr
                 ^ (u64::from(bytes) << 48)
                 ^ (u64::from(write) << 63);

@@ -55,7 +55,10 @@ fn wait_terminal(client: &mut Client, id: u64) -> Json {
         if matches!(state, "done" | "cancelled") {
             return doc;
         }
-        assert!(Instant::now() < deadline, "campaign {id} never terminal: {doc:?}");
+        assert!(
+            Instant::now() < deadline,
+            "campaign {id} never terminal: {doc:?}"
+        );
         std::thread::sleep(Duration::from_millis(20));
     }
 }
@@ -108,8 +111,10 @@ fn assert_bit_identical(status: &Json, jobs: &[Job], options: &SubmitOptions) {
                     "cell {index} failure code diverged"
                 );
             }
-            (_, other) => panic!("cell {index}: direct {:?} vs service `{other}`",
-                outcome.outcome.as_ref().map(|_| "ok")),
+            (_, other) => panic!(
+                "cell {index}: direct {:?} vs service `{other}`",
+                outcome.outcome.as_ref().map(|_| "ok")
+            ),
         }
     }
 }
@@ -119,7 +124,11 @@ fn submitted_campaign_matches_direct_run_bit_for_bit() {
     let dir = arena("bits");
     let daemon = start(&dir, ServeConfig::default());
     let mut client = connect(&dir);
-    let jobs = vec![job("tridiag", "DD", 8), job("innerprod", "CM", 6), job("eos", "CB", 6)];
+    let jobs = vec![
+        job("tridiag", "DD", 8),
+        job("innerprod", "CM", 6),
+        job("eos", "CB", 6),
+    ];
     let options = SubmitOptions::default();
     let id = submit_ok(&mut client, "alice", &jobs, &options);
     let status = wait_terminal(&mut client, id);
@@ -139,7 +148,11 @@ fn faulted_and_retried_campaign_matches_direct_run() {
     let jobs = vec![job("tridiag", "DD", 6), job("innerprod", "DD", 6)];
     let mut options = SubmitOptions::default();
     options.retries = Some(2);
-    options.faults.push(FaultSpec { job: 0, fault: Fault::Panic { at_eval: 0 }, attempts: 1 });
+    options.faults.push(FaultSpec {
+        job: 0,
+        fault: Fault::Panic { at_eval: 0 },
+        attempts: 1,
+    });
     options.faults.push(FaultSpec {
         job: 1,
         fault: Fault::NanOutput { from_eval: 0 },
@@ -159,15 +172,15 @@ fn garbage_lines_get_typed_errors_and_never_kill_the_daemon() {
     let mut client = connect(&dir);
     let bad_lines = [
         "not json at all",
-        "{\"op\":",                                    // torn JSON
-        "{}",                                          // no op
-        "{\"op\":\"frobnicate\"}",                     // unknown op
-        "{\"op\":\"submit\"}",                         // missing tenant/jobs
+        "{\"op\":",                                        // torn JSON
+        "{}",                                              // no op
+        "{\"op\":\"frobnicate\"}",                         // unknown op
+        "{\"op\":\"submit\"}",                             // missing tenant/jobs
         "{\"op\":\"submit\",\"tenant\":\"\",\"jobs\":[]}", // empty tenant
-        "{\"op\":\"status\"}",                         // missing id
-        "{\"op\":\"status\",\"id\":-3}",               // bad id
-        "{\"op\":\"status\",\"id\":1.5}",              // non-integer id
-        "[1,2,3]",                                     // not an object
+        "{\"op\":\"status\"}",                             // missing id
+        "{\"op\":\"status\",\"id\":-3}",                   // bad id
+        "{\"op\":\"status\",\"id\":1.5}",                  // non-integer id
+        "[1,2,3]",                                         // not an object
     ];
     for line in bad_lines {
         let doc = client.request(line).expect("daemon must answer");
@@ -185,7 +198,12 @@ fn garbage_lines_get_typed_errors_and_never_kill_the_daemon() {
     let huge = format!("{{\"op\":\"list\",\"pad\":\"{}\"}}\n", "x".repeat(2 << 20));
     let _ = raw.write_all(huge.as_bytes());
     // ...while the daemon keeps serving everyone else.
-    let id = submit_ok(&mut client, "alice", &[job("tridiag", "DD", 4)], &SubmitOptions::default());
+    let id = submit_ok(
+        &mut client,
+        "alice",
+        &[job("tridiag", "DD", 4)],
+        &SubmitOptions::default(),
+    );
     let status = wait_terminal(&mut client, id);
     assert_eq!(status.get("state").and_then(Json::as_str), Some("done"));
     daemon.stop();
@@ -205,18 +223,31 @@ fn admission_control_enforces_quota_depth_and_idempotency() {
     // Quota: 10 units admit one 8-unit campaign, then reject the next.
     let slow_jobs = vec![job("tridiag", "DD", 8)];
     let mut slow = SubmitOptions::default();
-    slow.faults.push(FaultSpec { job: 0, fault: Fault::SlowMs(40), attempts: u32::MAX });
-    let first = client.submit("cheap", Some("k1"), &slow_jobs, &slow).expect("submit");
+    slow.faults.push(FaultSpec {
+        job: 0,
+        fault: Fault::SlowMs(40),
+        attempts: u32::MAX,
+    });
+    let first = client
+        .submit("cheap", Some("k1"), &slow_jobs, &slow)
+        .expect("submit");
     assert_eq!(first.get("ok"), Some(&Json::Bool(true)));
-    let doc = client.submit("cheap", Some("k2"), &slow_jobs, &slow).expect("submit");
+    let doc = client
+        .submit("cheap", Some("k2"), &slow_jobs, &slow)
+        .expect("submit");
     assert_eq!(error_kind(&doc), "quota-exceeded");
 
     // Idempotency: resubmitting k1 dedupes onto the same id, no new charge.
-    let again = client.submit("cheap", Some("k1"), &slow_jobs, &slow).expect("submit");
+    let again = client
+        .submit("cheap", Some("k1"), &slow_jobs, &slow)
+        .expect("submit");
     assert_eq!(again.get("duplicate"), Some(&Json::Bool(true)));
     assert_eq!(again.get("id"), first.get("id"));
     let listing = client.list(Some("cheap")).expect("list");
-    let tenants = listing.get("tenants").and_then(Json::as_array).expect("tenants");
+    let tenants = listing
+        .get("tenants")
+        .and_then(Json::as_array)
+        .expect("tenants");
     let cheap = tenants
         .iter()
         .find(|t| t.get("tenant").and_then(Json::as_str) == Some("cheap"))
@@ -225,9 +256,13 @@ fn admission_control_enforces_quota_depth_and_idempotency() {
 
     // Depth: with one slot used, one more non-terminal campaign fills the
     // queue; a third tenant-distinct submission bounces with queue-full.
-    let ok = client.submit("rich", None, &slow_jobs, &slow).expect("submit");
+    let ok = client
+        .submit("rich", None, &slow_jobs, &slow)
+        .expect("submit");
     assert_eq!(ok.get("ok"), Some(&Json::Bool(true)));
-    let doc = client.submit("rich", None, &slow_jobs, &slow).expect("submit");
+    let doc = client
+        .submit("rich", None, &slow_jobs, &slow)
+        .expect("submit");
     assert_eq!(error_kind(&doc), "queue-full");
 
     daemon.stop();
@@ -242,7 +277,11 @@ fn cancel_skips_pending_cells() {
     let daemon = start(&dir, serve);
     let mut client = connect(&dir);
     let mut slow = SubmitOptions::default();
-    slow.faults.push(FaultSpec { job: 0, fault: Fault::SlowMs(30), attempts: u32::MAX });
+    slow.faults.push(FaultSpec {
+        job: 0,
+        fault: Fault::SlowMs(30),
+        attempts: u32::MAX,
+    });
     let busy = submit_ok(&mut client, "alice", &[job("tridiag", "DD", 8)], &slow);
     let victim = submit_ok(
         &mut client,
@@ -253,7 +292,10 @@ fn cancel_skips_pending_cells() {
     let doc = client.cancel(victim).expect("cancel");
     assert_eq!(doc.get("ok"), Some(&Json::Bool(true)), "{doc:?}");
     let status = wait_terminal(&mut client, victim);
-    assert_eq!(status.get("state").and_then(Json::as_str), Some("cancelled"));
+    assert_eq!(
+        status.get("state").and_then(Json::as_str),
+        Some("cancelled")
+    );
     let cells = status.get("cells").and_then(Json::as_array).expect("cells");
     // Every cell either finished before the cancel landed or was skipped —
     // none may still be pending in a terminal campaign.
@@ -262,7 +304,9 @@ fn cancel_skips_pending_cells() {
         assert!(matches!(state, "skipped" | "done" | "failed"), "{state}");
     }
     assert!(
-        cells.iter().any(|c| c.get("state").and_then(Json::as_str) == Some("skipped")),
+        cells
+            .iter()
+            .any(|c| c.get("state").and_then(Json::as_str) == Some("skipped")),
         "cancel before dispatch must skip at least one cell"
     );
     wait_terminal(&mut client, busy);
@@ -278,11 +322,17 @@ fn subscribe_streams_progress_records_until_done_trailer() {
     // Slow the evaluations down so the subscription provably lands while
     // the campaign is still running.
     let mut slow = SubmitOptions::default();
-    slow.faults.push(FaultSpec { job: 0, fault: Fault::SlowMs(25), attempts: u32::MAX });
+    slow.faults.push(FaultSpec {
+        job: 0,
+        fault: Fault::SlowMs(25),
+        attempts: u32::MAX,
+    });
     let id = submit_ok(&mut client, "alice", &[job("tridiag", "DD", 10)], &slow);
     let mut sub = connect(&dir);
     let mut records = 0usize;
-    let trailer = sub.subscribe(id, |_record| records += 1).expect("subscribe");
+    let trailer = sub
+        .subscribe(id, |_record| records += 1)
+        .expect("subscribe");
     assert_eq!(trailer.get("done"), Some(&Json::Bool(true)), "{trailer:?}");
     assert_eq!(trailer.get("state").and_then(Json::as_str), Some("done"));
     assert!(records > 0, "a live subscription must stream obs records");
@@ -290,7 +340,9 @@ fn subscribe_streams_progress_records_until_done_trailer() {
     // empty stream with the same trailer shape.
     let mut late = connect(&dir);
     let mut late_records = 0usize;
-    let trailer = late.subscribe(id, |_record| late_records += 1).expect("late subscribe");
+    let trailer = late
+        .subscribe(id, |_record| late_records += 1)
+        .expect("late subscribe");
     assert_eq!(trailer.get("done"), Some(&Json::Bool(true)));
     assert_eq!(late_records, 0);
     // Unknown campaigns are a typed rejection, not a hang.
@@ -325,7 +377,10 @@ fn concurrent_clients_all_reach_terminal_states() {
     // The daemon's own ledger agrees: 24 campaigns, all terminal.
     let mut client = connect(&dir);
     let listing = client.list(None).expect("list");
-    let campaigns = listing.get("campaigns").and_then(Json::as_array).expect("campaigns");
+    let campaigns = listing
+        .get("campaigns")
+        .and_then(Json::as_array)
+        .expect("campaigns");
     assert_eq!(campaigns.len(), 24);
     assert!(campaigns
         .iter()

@@ -57,7 +57,10 @@ fn wait_terminal(client: &mut Client, id: u64) -> Json {
         if matches!(state, "done" | "cancelled") {
             return doc;
         }
-        assert!(Instant::now() < deadline, "campaign {id} never terminal: {doc:?}");
+        assert!(
+            Instant::now() < deadline,
+            "campaign {id} never terminal: {doc:?}"
+        );
         std::thread::sleep(Duration::from_millis(25));
     }
 }
@@ -115,8 +118,10 @@ fn assert_bit_identical(status: &Json, jobs: &[Job], options: &SubmitOptions) {
                     "cell {index} failure code diverged after restart"
                 );
             }
-            (_, other) => panic!("cell {index}: direct {:?} vs service `{other}`",
-                outcome.outcome.as_ref().map(|_| "ok")),
+            (_, other) => panic!(
+                "cell {index}: direct {:?} vs service `{other}`",
+                outcome.outcome.as_ref().map(|_| "ok")
+            ),
         }
     }
 }
@@ -136,19 +141,31 @@ fn sigkill_mid_campaign_resumes_with_identical_outcomes() {
     ];
     let mut slow = SubmitOptions::default();
     for j in 0..slow_jobs.len() {
-        slow.faults.push(FaultSpec { job: j, fault: Fault::SlowMs(40), attempts: u32::MAX });
+        slow.faults.push(FaultSpec {
+            job: j,
+            fault: Fault::SlowMs(40),
+            attempts: u32::MAX,
+        });
     }
     // Plus a fast campaign with a heal-on-retry fault, to cross-check the
     // restart does not grant killed cells extra attempts.
     let retry_jobs = vec![job("hydro-1d", "DD", 5)];
     let mut retry = SubmitOptions::default();
     retry.retries = Some(2);
-    retry.faults.push(FaultSpec { job: 0, fault: Fault::Panic { at_eval: 0 }, attempts: 1 });
+    retry.faults.push(FaultSpec {
+        job: 0,
+        fault: Fault::Panic { at_eval: 0 },
+        attempts: 1,
+    });
 
-    let ack = client.submit("dur", Some("slow-k"), &slow_jobs, &slow).expect("submit");
+    let ack = client
+        .submit("dur", Some("slow-k"), &slow_jobs, &slow)
+        .expect("submit");
     assert_eq!(ack.get("ok"), Some(&Json::Bool(true)), "{ack:?}");
     let slow_id = ack.get("id").and_then(Json::as_f64).expect("id") as u64;
-    let ack = client.submit("dur", Some("retry-k"), &retry_jobs, &retry).expect("submit");
+    let ack = client
+        .submit("dur", Some("retry-k"), &retry_jobs, &retry)
+        .expect("submit");
     let retry_id = ack.get("id").and_then(Json::as_f64).expect("id") as u64;
     let used_before = tenant_used(&mut client, "dur");
     assert_eq!(
@@ -177,19 +194,32 @@ fn sigkill_mid_campaign_resumes_with_identical_outcomes() {
     // both campaigns back, with the quota ledger intact.
     let mut child = spawn_daemon(&dir);
     let mut client = connect(&dir);
-    assert_eq!(tenant_used(&mut client, "dur"), used_before, "quota lost in restart");
+    assert_eq!(
+        tenant_used(&mut client, "dur"),
+        used_before,
+        "quota lost in restart"
+    );
 
     // The idempotency key survives the restart: resubmitting dedupes onto
     // the original id instead of admitting (and charging) a new campaign.
-    let again = client.submit("dur", Some("slow-k"), &slow_jobs, &slow).expect("resubmit");
+    let again = client
+        .submit("dur", Some("slow-k"), &slow_jobs, &slow)
+        .expect("resubmit");
     assert_eq!(again.get("duplicate"), Some(&Json::Bool(true)), "{again:?}");
     assert_eq!(again.get("id").and_then(Json::as_f64), Some(slow_id as f64));
-    assert_eq!(tenant_used(&mut client, "dur"), used_before, "dedupe double-charged");
+    assert_eq!(
+        tenant_used(&mut client, "dur"),
+        used_before,
+        "dedupe double-charged"
+    );
 
     // Both campaigns run to completion with outcomes bit-identical to
     // uninterrupted direct runs.
     let slow_status = wait_terminal(&mut client, slow_id);
-    assert_eq!(slow_status.get("state").and_then(Json::as_str), Some("done"));
+    assert_eq!(
+        slow_status.get("state").and_then(Json::as_str),
+        Some("done")
+    );
     assert_bit_identical(&slow_status, &slow_jobs, &slow);
     let retry_status = wait_terminal(&mut client, retry_id);
     assert_bit_identical(&retry_status, &retry_jobs, &retry);
@@ -206,7 +236,9 @@ fn polluted_journal_replays_cleanly() {
     let mut child = spawn_daemon(&dir);
     let mut client = connect(&dir);
     let jobs = vec![job("tridiag", "DD", 5)];
-    let ack = client.submit("dur", Some("p-k"), &jobs, &SubmitOptions::default()).expect("submit");
+    let ack = client
+        .submit("dur", Some("p-k"), &jobs, &SubmitOptions::default())
+        .expect("submit");
     let id = ack.get("id").and_then(Json::as_f64).expect("id") as u64;
     let done = wait_terminal(&mut client, id);
     assert_eq!(done.get("state").and_then(Json::as_str), Some("done"));
@@ -216,10 +248,15 @@ fn polluted_journal_replays_cleanly() {
     // Pollute the journal: a garbage line, an unknown record type, and a
     // torn (no trailing newline) half-record, as a crash could leave.
     let journal = dir.join("state").join("queue.jsonl");
-    let mut file = std::fs::OpenOptions::new().append(true).open(&journal).expect("open journal");
+    let mut file = std::fs::OpenOptions::new()
+        .append(true)
+        .open(&journal)
+        .expect("open journal");
     file.write_all(b"this is not json\n").expect("garbage");
-    file.write_all(b"{\"type\":\"from-the-future\",\"id\":7}\n").expect("unknown");
-    file.write_all(b"{\"type\":\"cell\",\"campaign\":99").expect("torn tail");
+    file.write_all(b"{\"type\":\"from-the-future\",\"id\":7}\n")
+        .expect("unknown");
+    file.write_all(b"{\"type\":\"cell\",\"campaign\":99")
+        .expect("torn tail");
     drop(file);
 
     // The daemon must start, keep the finished campaign (bit-identically),
@@ -229,13 +266,20 @@ fn polluted_journal_replays_cleanly() {
     let status = client.status(id).expect("status");
     assert_eq!(status.get("state").and_then(Json::as_str), Some("done"));
     assert_bit_identical(&status, &jobs, &SubmitOptions::default());
-    let again = client.submit("dur", Some("p-k"), &jobs, &SubmitOptions::default()).expect("resubmit");
+    let again = client
+        .submit("dur", Some("p-k"), &jobs, &SubmitOptions::default())
+        .expect("resubmit");
     assert_eq!(again.get("duplicate"), Some(&Json::Bool(true)));
     // And brand-new work still flows after the polluted replay.
-    let ack = client.submit("dur", None, &jobs, &SubmitOptions::default()).expect("submit");
+    let ack = client
+        .submit("dur", None, &jobs, &SubmitOptions::default())
+        .expect("submit");
     let fresh = ack.get("id").and_then(Json::as_f64).expect("id") as u64;
     let fresh_status = wait_terminal(&mut client, fresh);
-    assert_eq!(fresh_status.get("state").and_then(Json::as_str), Some("done"));
+    assert_eq!(
+        fresh_status.get("state").and_then(Json::as_str),
+        Some("done")
+    );
 
     let _ = client.shutdown();
     assert!(child.wait().expect("wait").success());

@@ -4,11 +4,11 @@
 //! ever fires — leaves campaign results bit-identical to a watchdog-less
 //! run for any worker count.
 
+use mixp_core::Obs;
 use mixp_harness::faultplan::Fault;
 use mixp_harness::job::JobError;
 use mixp_harness::scheduler::{run_campaign, CampaignOptions, RetryPolicy};
 use mixp_harness::{FaultPlan, Job, Scale};
-use mixp_core::Obs;
 use std::time::Duration;
 
 fn jobs(names: &[&str]) -> Vec<Job> {
@@ -60,7 +60,10 @@ fn hung_job_is_cancelled_retried_and_reported_without_sinking_the_campaign() {
     );
     // The hang polls its token, so it unwinds within the grace period —
     // no quarantine, no extra threads beyond the configured pool.
-    assert_eq!(snap.counters.get("pool.quarantined").copied().unwrap_or(0), 0);
+    assert_eq!(
+        snap.counters.get("pool.quarantined").copied().unwrap_or(0),
+        0
+    );
     assert!(
         snap.gauges.get("pool.peak_threads").copied().unwrap_or(0.0) <= 2.0,
         "2 workers must never need more than 1 pool thread + 1 replacement"
@@ -120,7 +123,10 @@ fn wedged_worker_is_quarantined_and_replaced() {
         "exactly one worker slot is handed to a replacement"
     );
     assert_eq!(
-        snap.counters.get("watchdog.quarantined").copied().unwrap_or(0),
+        snap.counters
+            .get("watchdog.quarantined")
+            .copied()
+            .unwrap_or(0),
         1
     );
     assert!(snap.counters.get("watchdog.fired").copied().unwrap_or(0) >= 1);
@@ -190,11 +196,17 @@ fn quarantined_cell_is_not_retried_on_the_detached_thread() {
         snap = obs.metrics_snapshot().unwrap();
     }
     assert_eq!(
-        snap.counters.get("watchdog.quarantined").copied().unwrap_or(0),
+        snap.counters
+            .get("watchdog.quarantined")
+            .copied()
+            .unwrap_or(0),
         1
     );
     assert_eq!(
-        snap.counters.get("campaign.retry_detached").copied().unwrap_or(0),
+        snap.counters
+            .get("campaign.retry_detached")
+            .copied()
+            .unwrap_or(0),
         1,
         "exactly the quarantined cell's retry is suppressed"
     );
@@ -248,7 +260,10 @@ fn unfired_watchdog_keeps_campaigns_bit_identical_across_worker_counts() {
         );
         for (base, outcome) in baseline.iter().zip(&watched) {
             let (base, watched) = (base.result().unwrap(), outcome.result().unwrap());
-            assert_eq!(base.result.evaluated, watched.result.evaluated, "workers={workers}");
+            assert_eq!(
+                base.result.evaluated, watched.result.evaluated,
+                "workers={workers}"
+            );
             assert_eq!(base.result.dnf, watched.result.dnf);
             match (&base.result.best, &watched.result.best) {
                 (None, None) => {}
