@@ -27,24 +27,23 @@ fn frontier(bench: &dyn Benchmark) -> Vec<PrecisionConfig> {
     cfgs
 }
 
-fn run_frontier(obs: &Obs) -> usize {
+fn run_frontier(bench: &dyn Benchmark, cfgs: &[PrecisionConfig], obs: &Obs) -> usize {
     // Fresh evaluator per iteration so the per-config memo never serves a
     // hit and every config really runs, exactly like the baseline bench.
-    let bench = benchmark_by_name("eos", Scale::Paper).unwrap();
-    let cfgs = frontier(bench.as_ref());
     let mut ev = EvaluatorBuilder::new(QualityThreshold::new(THRESHOLD))
         .workers(4)
         .obs(obs.clone())
-        .build(bench.as_ref());
-    ev.evaluate_batch(&cfgs)
-        .iter()
-        .filter(|r| r.is_ok())
-        .count()
+        .build(bench);
+    ev.evaluate_batch(cfgs).iter().filter(|r| r.is_ok()).count()
 }
 
 fn main() {
     let trace_path =
         std::env::temp_dir().join(format!("mixp-bench-obs-{}.jsonl", std::process::id()));
+    // Built once, outside the timed loop: iterations time the evaluator.
+    let bench = benchmark_by_name("eos", Scale::Paper).unwrap();
+    let bench = bench.as_ref();
+    let cfgs = frontier(bench);
     let mut group = BenchGroup::new("obs_overhead");
     group
         .warm_up_time(Duration::from_millis(500))
@@ -52,18 +51,18 @@ fn main() {
         .sample_size(10);
     group.bench_function("eos/off-noop", |b| {
         let obs = Obs::noop();
-        b.iter(|| black_box(run_frontier(&obs)))
+        b.iter(|| black_box(run_frontier(bench, &cfgs, &obs)))
     });
     group.bench_function("eos/on-memory", |b| {
         let obs = Obs::in_memory();
-        b.iter(|| black_box(run_frontier(&obs)))
+        b.iter(|| black_box(run_frontier(bench, &cfgs, &obs)))
     });
     group.bench_function("eos/on-jsonl", |b| {
         let obs = Obs::builder()
             .trace_path(trace_path.clone())
             .build()
             .expect("temp trace file");
-        b.iter(|| black_box(run_frontier(&obs)))
+        b.iter(|| black_box(run_frontier(bench, &cfgs, &obs)))
     });
     group.finish();
     std::fs::remove_file(&trace_path).ok();

@@ -1,12 +1,17 @@
 //! Configuration evaluation: run, verify, price.
 
 use crate::{Benchmark, Granularity, SearchSpace};
-use mixp_float::{CancelToken, CancelUnwind, ConfigKey, ExecCtx, OpCounts, PrecisionConfig};
+use mixp_float::{
+    CancelToken, CancelUnwind, ConfigKey, ExecCtx, MemoryTracer, OpCounts, Precision,
+    PrecisionConfig, VarId,
+};
 use mixp_obs::{Obs, Value};
-use mixp_perf::{CacheParams, CacheStats, CostModel, Hierarchy};
+use mixp_perf::{
+    CacheParams, CacheStats, CostModel, Hierarchy, StreamFingerprint, StreamFingerprinter, Tee,
+};
 use mixp_pool::Pool;
 use mixp_verify::QualityThreshold;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -280,8 +285,9 @@ impl EvaluatorBuilder {
     /// harness's job-level `catch_unwind` classifies it.
     pub fn build<'b>(self, bench: &'b dyn Benchmark) -> Evaluator<'b> {
         let ref_cfg = bench.program().config_all_double();
+        let streams = StreamMemo::default();
         let run_reference = || {
-            run_config_with_token(
+            streams.run(
                 bench,
                 &ref_cfg,
                 self.cache,
@@ -323,6 +329,7 @@ impl EvaluatorBuilder {
             ref_cost,
             evaluated: 0,
             memo: HashMap::new(),
+            streams,
             best: None,
         }
     }
@@ -361,9 +368,14 @@ impl ReferenceCache {
 ///
 /// IR-ported benchmarks ([`Benchmark::ir_program`]) execute through a
 /// specialized plan, compiled for this run and dropped when it returns;
-/// the result is bit-identical to [`run_config_direct`].
+/// the result is bit-identical to [`run_config_direct`]. Every call
+/// simulates: this is the memo-free oracle the evaluator's stream memo is
+/// tested against.
 pub fn run_config(bench: &dyn Benchmark, cfg: &PrecisionConfig, cache: CacheParams) -> RunOutput {
-    run_config_with_token(bench, cfg, cache, None, &Obs::noop(), None)
+    let plan = compile_run_plan(bench, cfg, &Obs::noop(), None);
+    simulate(cache, |h| {
+        run_traced(cfg, h, None, |ctx| execute(bench, plan.as_ref(), ctx))
+    })
 }
 
 /// Runs `bench` under `cfg` through its hand-written [`Benchmark::run`]
@@ -375,27 +387,22 @@ pub fn run_config_direct(
     cfg: &PrecisionConfig,
     cache: CacheParams,
 ) -> RunOutput {
-    run_in_hierarchy(cfg, cache, None, |ctx| bench.run(ctx))
+    simulate(cache, |h| run_traced(cfg, h, None, |ctx| bench.run(ctx)))
 }
 
-/// [`run_config`] with an optional [`CancelToken`] attached to the run's
-/// [`ExecCtx`]. A fired token unwinds with [`CancelUnwind`] — callers that
-/// want a typed error instead use [`run_config_cancellable`].
+/// Compiles the execution plan of an IR-ported benchmark for one run
+/// (`None` for hand-written benchmarks). Compilation is configuration-only
+/// work, done before the run's cache hierarchy is reset.
 ///
-/// Each plan compile bumps `evaluator.plan_compiles` on `obs` and, when
-/// `obs` is enabled, is wrapped in a `plan.compile` span under `parent`.
-fn run_config_with_token(
+/// Each compile bumps `evaluator.plan_compiles` on `obs` and, when `obs`
+/// is enabled, is wrapped in a `plan.compile` span under `parent`.
+fn compile_run_plan(
     bench: &dyn Benchmark,
     cfg: &PrecisionConfig,
-    cache: CacheParams,
-    token: Option<&CancelToken>,
     obs: &Obs,
     parent: Option<u64>,
-) -> RunOutput {
-    // Compile the execution plan (if this benchmark is IR-ported) before
-    // entering the run: compilation is configuration-only work and must
-    // not sit between the cache-hierarchy reset and the run it times.
-    let plan = bench.ir_program().map(|prog| {
+) -> Option<mixp_ir::Plan> {
+    bench.ir_program().map(|prog| {
         let span = obs
             .enabled()
             .then(|| obs.span_with_parent("plan.compile", parent, &[]));
@@ -403,20 +410,39 @@ fn run_config_with_token(
         drop(span);
         obs.counter_add("evaluator.plan_compiles", 1);
         plan
-    });
-    run_in_hierarchy(cfg, cache, token, |ctx| match &plan {
-        Some(plan) => crate::irplan::run_plan(plan, ctx),
-        None => bench.run(ctx),
     })
 }
 
-/// Shared run scaffolding: per-thread hierarchy reuse, context setup,
-/// counts/stats harvest around one benchmark execution.
-fn run_in_hierarchy(
+/// Executes one run: through `plan` when there is one, else through the
+/// hand-written path.
+fn execute(bench: &dyn Benchmark, plan: Option<&mixp_ir::Plan>, ctx: &mut ExecCtx<'_>) -> Vec<f64> {
+    match plan {
+        Some(plan) => crate::irplan::run_plan(plan, ctx),
+        None => bench.run(ctx),
+    }
+}
+
+/// Runs `run` in a fresh context over `cfg` with `tracer` attached (and
+/// `token`, if any), returning the output and the operation counts.
+fn run_traced(
     cfg: &PrecisionConfig,
-    cache: CacheParams,
+    tracer: &mut dyn MemoryTracer,
     token: Option<&CancelToken>,
     run: impl FnOnce(&mut ExecCtx<'_>) -> Vec<f64>,
+) -> (Vec<f64>, OpCounts) {
+    let mut ctx = ExecCtx::with_tracer(cfg, tracer);
+    if let Some(token) = token {
+        ctx.set_cancel_token(token.clone());
+    }
+    let output = run(&mut ctx);
+    (output, ctx.counts())
+}
+
+/// Runs `run` against this thread's reset cache hierarchy and appends the
+/// statistics it accumulated.
+fn simulate(
+    cache: CacheParams,
+    run: impl FnOnce(&mut Hierarchy) -> (Vec<f64>, OpCounts),
 ) -> RunOutput {
     // One hierarchy per worker thread, reset between evaluations: building
     // a fresh default hierarchy initialises 4608 lines, which costs more
@@ -439,43 +465,139 @@ fn run_in_hierarchy(
             }
             _ => slot.insert(Hierarchy::new(cache)),
         };
-        let mut ctx = ExecCtx::with_tracer(cfg, hierarchy);
-        if let Some(token) = token {
-            ctx.set_cancel_token(token.clone());
-        }
-        let output = run(&mut ctx);
-        let counts = ctx.counts();
-        drop(ctx);
+        let (output, counts) = run(hierarchy);
         (output, counts, hierarchy.stats())
     })
 }
 
-/// Runs `bench` under `cfg`, converting a cancellation unwind into
-/// [`EvalError::Cancelled`]. Genuine benchmark panics are re-raised
-/// untouched (the job-level `catch_unwind` owns those). With no token the
-/// run is not wrapped at all — bit- and control-flow-identical to
-/// [`run_config`].
-fn run_config_cancellable(
-    bench: &dyn Benchmark,
-    cfg: &PrecisionConfig,
-    cache: CacheParams,
-    token: Option<&CancelToken>,
-    obs: &Obs,
-    parent: Option<u64>,
-) -> Result<RunOutput, EvalError> {
-    let Some(token) = token else {
-        return Ok(run_config_with_token(bench, cfg, cache, None, obs, parent));
-    };
-    if token.is_cancelled() {
-        return Err(EvalError::Cancelled);
+/// An evaluator's private memo of simulated cache statistics, keyed by
+/// the fingerprint of the access stream that produced them (DESIGN.md,
+/// "Execution fast path").
+///
+/// A configuration's *array-width signature* is the precisions it gives
+/// the variables the first simulated run allocated. Under a signature
+/// simulated before, a run carries only a [`StreamFingerprinter`] and
+/// takes its statistics from the memo; under a new signature, or on a
+/// fingerprint the memo has not seen (a value-dependent stream), the run
+/// simulates with the fingerprinter tee'd beside the hierarchy and stores
+/// what it found. Outputs and operation counts always come from the run
+/// itself; statistics equal a fresh simulation's unless two different
+/// streams collide in the 128-bit fingerprint.
+///
+/// Each run bumps `evaluator.stream_hits` or `evaluator.stream_sims`; a
+/// simulation after a fingerprint miss also bumps
+/// `evaluator.stream_fallbacks`.
+#[derive(Debug, Default)]
+struct StreamMemo {
+    state: Mutex<StreamMemoState>,
+}
+
+#[derive(Debug, Default)]
+struct StreamMemoState {
+    /// The distinct variables the first simulated run allocated, sorted;
+    /// `None` before that run.
+    vars: Option<Vec<VarId>>,
+    /// Array-width signatures simulated at least once.
+    signatures: HashSet<Vec<Precision>>,
+    /// Statistics of every simulated stream.
+    stats: HashMap<StreamFingerprint, CacheStats>,
+}
+
+impl StreamMemoState {
+    /// `cfg`'s array-width signature, once the allocated variables are
+    /// known.
+    fn signature(&self, cfg: &PrecisionConfig) -> Option<Vec<Precision>> {
+        let vars = self.vars.as_ref()?;
+        Some(vars.iter().map(|&v| cfg.get(v)).collect())
     }
-    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_config_with_token(bench, cfg, cache, Some(token), obs, parent)
-    }));
-    match run {
-        Ok(run) => Ok(run),
-        Err(payload) if CancelUnwind::caused(payload.as_ref()) => Err(EvalError::Cancelled),
-        Err(payload) => std::panic::resume_unwind(payload),
+}
+
+impl StreamMemo {
+    fn state(&self) -> std::sync::MutexGuard<'_, StreamMemoState> {
+        // The lock is never held across a run, so a poisoning panic cannot
+        // leave the state half-written.
+        self.state
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// One run of `bench` under `cfg`, with cache statistics from the memo
+    /// where the stream was simulated before. A fired token unwinds with
+    /// [`CancelUnwind`] (see [`Self::run_cancellable`]).
+    fn run(
+        &self,
+        bench: &dyn Benchmark,
+        cfg: &PrecisionConfig,
+        cache: CacheParams,
+        token: Option<&CancelToken>,
+        obs: &Obs,
+        parent: Option<u64>,
+    ) -> RunOutput {
+        let plan = compile_run_plan(bench, cfg, obs, parent);
+        let known = {
+            let state = self.state();
+            let signature = state.signature(cfg);
+            signature.is_some_and(|s| state.signatures.contains(&s))
+        };
+        if known {
+            let mut fingerprinter = StreamFingerprinter::new();
+            let (output, counts) = run_traced(cfg, &mut fingerprinter, token, |ctx| {
+                execute(bench, plan.as_ref(), ctx)
+            });
+            if let Some(&stats) = self.state().stats.get(&fingerprinter.finish()) {
+                obs.counter_add("evaluator.stream_hits", 1);
+                return (output, counts, stats);
+            }
+            obs.counter_add("evaluator.stream_fallbacks", 1);
+        }
+        obs.counter_add("evaluator.stream_sims", 1);
+        let mut allocated: Vec<VarId> = Vec::new();
+        let mut fingerprinter = StreamFingerprinter::new();
+        let run = simulate(cache, |h| {
+            run_traced(cfg, &mut Tee::new(h, &mut fingerprinter), token, |ctx| {
+                let output = execute(bench, plan.as_ref(), ctx);
+                allocated.extend(ctx.allocations().iter().map(|&(v, ..)| v));
+                output
+            })
+        });
+        allocated.sort_unstable();
+        allocated.dedup();
+        let mut state = self.state();
+        state.vars.get_or_insert(allocated);
+        if let Some(signature) = state.signature(cfg) {
+            state.signatures.insert(signature);
+        }
+        state.stats.insert(fingerprinter.finish(), run.2);
+        run
+    }
+
+    /// [`Self::run`], converting a cancellation unwind into
+    /// [`EvalError::Cancelled`]. Genuine benchmark panics are re-raised
+    /// untouched (the job-level `catch_unwind` owns those). With no token
+    /// the run is not wrapped at all.
+    fn run_cancellable(
+        &self,
+        bench: &dyn Benchmark,
+        cfg: &PrecisionConfig,
+        cache: CacheParams,
+        token: Option<&CancelToken>,
+        obs: &Obs,
+        parent: Option<u64>,
+    ) -> Result<RunOutput, EvalError> {
+        let Some(token) = token else {
+            return Ok(self.run(bench, cfg, cache, None, obs, parent));
+        };
+        if token.is_cancelled() {
+            return Err(EvalError::Cancelled);
+        }
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.run(bench, cfg, cache, Some(token), obs, parent)
+        }));
+        match run {
+            Ok(run) => Ok(run),
+            Err(payload) if CancelUnwind::caused(payload.as_ref()) => Err(EvalError::Cancelled),
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
     }
 }
 
@@ -508,6 +630,8 @@ pub struct Evaluator<'b> {
     ref_cost: f64,
     evaluated: usize,
     memo: HashMap<ConfigKey, EvalRecord>,
+    /// Cache statistics by access-stream fingerprint (see [`StreamMemo`]).
+    streams: StreamMemo,
     best: Option<EvalRecord>,
 }
 
@@ -740,7 +864,7 @@ impl<'b> Evaluator<'b> {
                     self.parent_span,
                     &[("lowered", Value::U64(cfg.lowered_count() as u64))],
                 );
-                let run = match run_config_cancellable(
+                let run = match self.streams.run_cancellable(
                     self.bench,
                     cfg,
                     self.cache,
@@ -884,7 +1008,7 @@ impl<'b> Evaluator<'b> {
         let mut runs: Vec<Option<Result<RunOutput, EvalError>>> = Vec::new();
         match pool {
             None => runs.extend(pending.iter().map(|&i| {
-                Some(run_config_cancellable(
+                Some(self.streams.run_cancellable(
                     self.bench,
                     &cfgs[i],
                     self.cache,
@@ -900,13 +1024,14 @@ impl<'b> Evaluator<'b> {
                 let cache = self.cache;
                 let cancel = self.cancel.clone();
                 let obs = &self.obs;
+                let streams = &self.streams;
                 let batch_span = span.id();
                 // Cancellation is caught *inside* each item (a fired token
                 // yields Err(Cancelled) in that item's slot), so a cancelled
                 // batch never poisons the pool descriptor — every remaining
                 // item drains within one bulk op of the flag flipping.
                 pool.run_batch(pending.len(), |t| {
-                    let run = run_config_cancellable(
+                    let run = streams.run_cancellable(
                         bench,
                         &cfgs[pending[t]],
                         cache,
@@ -951,7 +1076,7 @@ impl<'b> Evaluator<'b> {
                     // benchmark sequentially — it returns Err(Cancelled) at
                     // the first poll instead.
                     let run = runs[p].take().unwrap_or_else(|| {
-                        run_config_cancellable(
+                        self.streams.run_cancellable(
                             self.bench,
                             &cfgs[i],
                             self.cache,
@@ -1183,6 +1308,123 @@ mod tests {
         let r2 = ev2.evaluate(&cfg).unwrap();
         assert_eq!(r1.quality, r2.quality);
         assert_eq!(r1.speedup, r2.speedup);
+    }
+
+    /// A toy benchmark whose access stream depends on its values: `x`
+    /// is swept a second time only while `s` keeps its excess over 1,
+    /// which rounding `s` to single precision erases. `s` and `t` are
+    /// scalars (never allocated), so lowering them leaves the array-width
+    /// signature unchanged while `s` changes the stream.
+    struct Branchy {
+        program: ProgramModel,
+        x: VarId,
+        s: VarId,
+        t: VarId,
+    }
+
+    impl Branchy {
+        fn new() -> Self {
+            let mut b = ProgramBuilder::new("branchy");
+            let m = b.module("main");
+            let f = b.function("branchy", m);
+            let x = b.array(f, "x");
+            let s = b.scalar(f, "s");
+            let t = b.scalar(f, "t");
+            let program = b.build();
+            Branchy { program, x, s, t }
+        }
+    }
+
+    impl Benchmark for Branchy {
+        fn name(&self) -> &str {
+            "branchy"
+        }
+        fn description(&self) -> &str {
+            "toy with a value-dependent access stream"
+        }
+        fn kind(&self) -> BenchmarkKind {
+            BenchmarkKind::Kernel
+        }
+        fn program(&self) -> &ProgramModel {
+            &self.program
+        }
+        fn metric(&self) -> MetricKind {
+            MetricKind::Mae
+        }
+        fn run(&self, ctx: &mut ExecCtx<'_>) -> Vec<f64> {
+            let n = 64;
+            let x = mixp_float::MpVec::from_fn(ctx, self.x, n, |i| 1.0 + i as f64 * 0.01);
+            let s = mixp_float::MpScalar::new(ctx, self.s, 1.0 + 1e-10);
+            let t = mixp_float::MpScalar::new(ctx, self.t, 0.3);
+            let mut out: Vec<f64> = (0..n).map(|i| x.get(ctx, i) * t.get()).collect();
+            ctx.flop(self.x, &[self.x, self.t], n as u64);
+            if s.get() > 1.0 {
+                for (i, o) in out.iter_mut().enumerate() {
+                    *o += x.get(ctx, i);
+                }
+                ctx.flop(self.x, &[self.x], n as u64);
+            }
+            out
+        }
+    }
+
+    /// `(quality, speedup)` bits of `cfg` from memo-free `run_config`
+    /// runs, scored against `ev`'s reference.
+    fn fresh_score(ev: &Evaluator<'_>, b: &dyn Benchmark, cfg: &PrecisionConfig) -> (u64, u64) {
+        let params = CacheParams::default();
+        let model = CostModel::default();
+        let (output, counts, stats) = run_config(b, cfg, params);
+        let (_, ref_counts, ref_stats) = run_config(b, &b.program().config_all_double(), params);
+        let cost = model.cost(&counts, Some(&stats));
+        let speedup = if cost == 0.0 {
+            1.0
+        } else {
+            model.cost(&ref_counts, Some(&ref_stats)) / cost
+        };
+        let quality = b.metric().compare(ev.reference_output(), &output);
+        (quality.to_bits(), speedup.to_bits())
+    }
+
+    #[test]
+    fn stream_memo_falls_back_on_a_value_dependent_stream() {
+        let b = Branchy::new();
+        let obs = Obs::in_memory();
+        let mut ev = EvaluatorBuilder::new(QualityThreshold::new(1e-3))
+            .obs(obs.clone())
+            .build(&b);
+        let n = b.program().var_count();
+        let counter = |name: &str| {
+            let snap = obs.metrics_snapshot().expect("in-memory obs has metrics");
+            snap.counters.get(name).copied().unwrap_or(0)
+        };
+        // (lowered variables, expected (sims, hits, fallbacks) after it).
+        let steps = [
+            // Same signature as the reference, other stream: miss, re-run.
+            (vec![b.s], (2, 0, 1)),
+            // Same signature, the reference's stream: hit.
+            (vec![b.t], (2, 1, 1)),
+            // Same signature, the first step's stream: hit.
+            (vec![b.s, b.t], (2, 2, 1)),
+            // New signature: simulated without a fingerprint-only run.
+            (vec![b.x], (3, 2, 1)),
+        ];
+        assert_eq!(counter("evaluator.stream_sims"), 1, "the reference run");
+        for (lowered, expected) in steps {
+            let cfg = PrecisionConfig::from_lowered(n, lowered.iter().copied());
+            let rec = ev.evaluate(&cfg).unwrap();
+            assert!(rec.compiled);
+            assert_eq!(
+                (rec.quality.to_bits(), rec.speedup.to_bits()),
+                fresh_score(&ev, &b, &cfg),
+                "{lowered:?}"
+            );
+            let seen = (
+                counter("evaluator.stream_sims"),
+                counter("evaluator.stream_hits"),
+                counter("evaluator.stream_fallbacks"),
+            );
+            assert_eq!(seen, expected, "{lowered:?}");
+        }
     }
 
     /// Every interesting configuration of the Axpy toy: the two uniforms,

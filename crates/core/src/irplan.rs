@@ -18,8 +18,8 @@
 //! Plans are transient: every run — the evaluator's reference run,
 //! sequential evaluation and batch fan-out alike — compiles its own plan,
 //! interprets it and drops it. The evaluator memoises whole outcomes per
-//! configuration, so a configuration is never run twice and a kept plan
-//! would only hold memory (a paper-scale hotspot plan is ~3 MB).
+//! configuration, so a configuration is never evaluated twice and a kept
+//! plan would only hold memory (a paper-scale hotspot plan is ~3 MB).
 
 use mixp_float::{ExecCtx, Precision, PrecisionConfig, StreamSpec, VarId};
 use mixp_ir::{ExecSink, Plan, Prec, Program, StreamRt};

@@ -47,9 +47,11 @@
 pub mod bench;
 mod cache;
 mod cost;
+mod fingerprint;
 pub mod profile;
 
 pub use bench::{BenchGroup, Bencher};
 pub use cache::{CacheParams, CacheSim, CacheStats, Hierarchy, LevelParams};
 pub use cost::CostModel;
+pub use fingerprint::{StreamFingerprint, StreamFingerprinter};
 pub use profile::{attribute, AccessProfiler, Tee, VarTraffic};

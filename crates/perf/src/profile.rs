@@ -11,7 +11,7 @@
 //! context's allocation log to produce per-variable traffic reports. Use
 //! [`Tee`] to profile and simulate the cache in the same run.
 
-use mixp_float::{MemoryTracer, VarId};
+use mixp_float::{MemoryTracer, StreamSpec, VarId};
 use std::collections::HashMap;
 
 /// Line-granular access tally.
@@ -50,7 +50,8 @@ impl MemoryTracer for AccessProfiler {
 }
 
 /// Forwards every access to two tracers (e.g. profile + cache-simulate in
-/// one run).
+/// one run). Groups are forwarded as groups, so a [`crate::Hierarchy`]
+/// behind a `Tee` keeps its closed-form fast path.
 pub struct Tee<'a> {
     a: &'a mut dyn MemoryTracer,
     b: &'a mut dyn MemoryTracer,
@@ -73,6 +74,11 @@ impl<'a> MemoryTracer for Tee<'a> {
     fn access(&mut self, addr: u64, bytes: u8, write: bool) {
         self.a.access(addr, bytes, write);
         self.b.access(addr, bytes, write);
+    }
+
+    fn access_group(&mut self, streams: &[StreamSpec], count: usize) {
+        self.a.access_group(streams, count);
+        self.b.access_group(streams, count);
     }
 }
 
@@ -143,7 +149,7 @@ pub fn attribute(profiler: &AccessProfiler, allocations: &[(VarId, u64, u64)]) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mixp_float::{ExecCtx, PrecisionConfig, VarRegistry};
+    use mixp_float::{ExecCtx, Precision, PrecisionConfig, StreamGroup, VarRegistry};
 
     #[test]
     fn profiler_tallies_lines() {
@@ -191,6 +197,61 @@ mod tests {
         }
         assert_eq!(p1.total_accesses(), 1);
         assert_eq!(p2.total_accesses(), 1);
+    }
+
+    /// A group-heavy run: sweeps committed as stream groups (unit,
+    /// negative, zero and wide strides, at two element widths) with a few
+    /// element-wise accesses between them.
+    fn group_heavy_run(tracer: &mut dyn MemoryTracer) {
+        let mut reg = VarRegistry::new();
+        let (a, b, c) = (reg.fresh("a"), reg.fresh("b"), reg.fresh("c"));
+        let mut cfg = PrecisionConfig::all_double(reg.len());
+        cfg.set(b, Precision::Single);
+        let mut ctx = ExecCtx::with_tracer(&cfg, tracer);
+        let va = ctx.alloc_vec(a, 4096);
+        let vb = ctx.alloc_vec(b, 4096);
+        let vc = ctx.alloc_vec(c, 4096);
+        let mut group = StreamGroup::new();
+        for sweep in 0..4 {
+            group
+                .clear()
+                .load(&va, 0)
+                .load_strided(&vb, 4095, -1)
+                .store(&vc, 0);
+            group.commit(&mut ctx, 4096);
+            group
+                .clear()
+                .load_strided(&va, sweep, 0)
+                .store_strided(&vc, 1, 2);
+            group.commit(&mut ctx, 2000);
+            let _ = va.get(&mut ctx, sweep * 7);
+        }
+    }
+
+    #[test]
+    fn tee_forwards_groups_without_changing_either_side() {
+        let params = crate::CacheParams::default();
+        let mut alone = crate::Hierarchy::new(params);
+        group_heavy_run(&mut alone);
+        let mut prof_alone = AccessProfiler::new();
+        group_heavy_run(&mut prof_alone);
+
+        let mut prof = AccessProfiler::new();
+        let mut hier = crate::Hierarchy::new(params);
+        group_heavy_run(&mut Tee::new(&mut prof, &mut hier));
+        assert_eq!(hier.stats(), alone.stats());
+        assert_eq!(prof.lines, prof_alone.lines);
+        assert_eq!(prof.total_accesses(), hier.stats().accesses);
+
+        // A fingerprint digests groups as groups, so it only matches the
+        // stand-alone one if the Tee forwarded every group whole.
+        let mut fp_alone = crate::StreamFingerprinter::new();
+        group_heavy_run(&mut fp_alone);
+        let mut fp = crate::StreamFingerprinter::new();
+        let mut hier = crate::Hierarchy::new(params);
+        group_heavy_run(&mut Tee::new(&mut fp, &mut hier));
+        assert_eq!(fp.finish(), fp_alone.finish());
+        assert_eq!(hier.stats(), alone.stats());
     }
 
     #[test]

@@ -19,6 +19,8 @@
 # rotting until the next manual `cargo bench` — including
 # `bench_obs_overhead`, the noop-tracer-costs-nothing watchdog.
 #
+# A format guard holds the workspace to `cargo fmt --all --check`.
+#
 # Structural guards ride along: the fault-tolerant harness paths must
 # stay panic-free, the `mixp-obs` crate must stay dependency-free with
 # wall-clock access confined to its clock.rs module, raw thread creation
@@ -43,7 +45,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== [1/12] grep guard: only path dependencies allowed =="
+echo "== [1/13] grep guard: only path dependencies allowed =="
 violations=$(find . -name Cargo.toml -not -path './target/*' -print0 | xargs -0 awk '
   FNR == 1 { section = "" }
   /^\[/ { section = $0 }
@@ -59,7 +61,18 @@ if [ -n "$violations" ]; then
 fi
 echo "ok: no non-path dependencies"
 
-echo "== [2/12] panic guard: fault-tolerant harness paths must not panic =="
+echo "== [2/13] format guard: the workspace is rustfmt-clean =="
+# Formatting drifts with every change unless a gate holds it; one
+# `cargo fmt --all` restores it. mixbench/ is a workspace of its own and
+# is not covered.
+if ! fmt_diff=$(cargo fmt --all --check 2>&1); then
+  echo "$fmt_diff" | head -40
+  echo "error: the workspace is not rustfmt-clean — run cargo fmt --all" >&2
+  exit 1
+fi
+echo "ok: cargo fmt --all --check is clean"
+
+echo "== [3/13] panic guard: fault-tolerant harness paths must not panic =="
 # The campaign execution path promises typed errors instead of aborts:
 # no unwrap()/expect()/panic! in non-test code of the scheduler, job,
 # checkpoint, journal, faultplan, watchdog and cancellation modules. Test modules
@@ -89,7 +102,7 @@ if [ -n "$panic_violations" ]; then
 fi
 echo "ok: campaign execution paths are panic-free"
 
-echo "== [3/12] fast-path guard: benchmark hot loops must use the bulk layer =="
+echo "== [4/13] fast-path guard: benchmark hot loops must use the bulk layer =="
 # The speedup model's wall-clock claims rest on benchmarks going through
 # the MpVec fast path: per-handle cached rounding and bulk accounting.
 # Reaching around it — rounding manually with `round_to`, or reading
@@ -116,7 +129,7 @@ if [ -n "$fastpath_violations" ]; then
 fi
 echo "ok: kernels and apps stay on the bulk/fast-path API"
 
-echo "== [4/12] obs purity guard: zero deps, wall clock quarantined in clock.rs =="
+echo "== [5/13] obs purity guard: zero deps, wall clock quarantined in clock.rs =="
 # The observability crate underpins the determinism story twice over: it
 # must stay dependency-free (it is linked into every other crate), and its
 # trace/metrics layers must never read wall-clock time themselves — all
@@ -147,7 +160,7 @@ if [ -n "$obs_clock_violations" ]; then
 fi
 echo "ok: crates/obs is dependency-free and logically clocked"
 
-echo "== [5/12] thread-confinement guard: raw threads only inside crates/pool =="
+echo "== [6/13] thread-confinement guard: raw threads only inside crates/pool =="
 # The oversubscription fix rests on one invariant: all parallelism flows
 # through the work-stealing pool, sized once by MIXP_WORKERS. Raw
 # `thread::spawn`/`thread::scope`/`thread::Builder` anywhere else quietly
@@ -177,7 +190,7 @@ if [ -n "$thread_violations" ]; then
 fi
 echo "ok: thread creation is confined to the pool crate"
 
-echo "== [6/12] IR purity guard: crates/ir dependency-free and precision-agnostic =="
+echo "== [7/13] IR purity guard: crates/ir dependency-free and precision-agnostic =="
 # The program IR is the layer future backends hang off, so it must know
 # nothing about ExecCtx, tracers or benchmarks: its Cargo.toml declares no
 # dependencies at all (not even workspace ones). Precision semantics are
@@ -213,7 +226,7 @@ if [ -n "$ir_purity_violations" ]; then
 fi
 echo "ok: crates/ir is dependency-free and precision-agnostic outside round.rs/plan.rs"
 
-echo "== [7/12] socket-confinement guard: Unix sockets only inside crates/serve =="
+echo "== [8/13] socket-confinement guard: Unix sockets only inside crates/serve =="
 # The campaign service is deliberately the workspace's only network-ish
 # surface, and a Unix-domain one at that. `UnixListener`/`UnixStream`
 # creeping into any other crate would give the batch harness an ambient
@@ -234,7 +247,7 @@ if [ -n "$socket_violations" ]; then
 fi
 echo "ok: socket use is confined to the serve crate"
 
-echo "== [8/12] durable-file guard: fsync, rename and OpenOptions only in the journal =="
+echo "== [9/13] durable-file guard: fsync, rename and OpenOptions only in the journal =="
 # Every crash-safe campaign file (run-state, eval cache, queue journal)
 # goes through crates/harness/src/journal.rs, which owns the header
 # check, the tmp + fsync + rename restart, the append/fsync cadence and
@@ -255,7 +268,7 @@ if [ -n "$durable_violations" ]; then
 fi
 echo "ok: durable-file I/O is confined to the journal module"
 
-echo "== [9/12] offline build + test with an empty CARGO_HOME =="
+echo "== [10/13] offline build + test with an empty CARGO_HOME =="
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 export CARGO_HOME="$tmp/cargo_home"
@@ -264,16 +277,16 @@ mkdir -p "$CARGO_HOME"
 cargo build --release --offline
 cargo test -q --offline
 
-echo "== [10/12] mixbench unit tests under the same empty CARGO_HOME =="
+echo "== [11/13] mixbench unit tests under the same empty CARGO_HOME =="
 # mixbench is a package of its own (outside the workspace), so the steps
 # above never build it. Its unit tests include a smoke run of all four
 # workloads, so a crate change that breaks the benchmark fails here.
 cargo test --release --offline --manifest-path mixbench/Cargo.toml
 
-echo "== [11/12] bench smoke: every [[bench]] target runs under MIXP_BENCH_QUICK =="
+echo "== [12/13] bench smoke: every [[bench]] target runs under MIXP_BENCH_QUICK =="
 MIXP_BENCH_QUICK=1 cargo bench --offline
 
-echo "== [12/12] loadgen smoke: the campaign-service fleet in quick mode =="
+echo "== [13/13] loadgen smoke: the campaign-service fleet in quick mode =="
 # Spawns a real daemon, drives it with concurrent multi-tenant clients,
 # SIGKILLs and restarts it mid-run, and asserts terminal states, exact
 # quota accounting and bit-identical outcomes. Quick mode keeps it to a

@@ -692,3 +692,72 @@ fn evaluation_order_does_not_matter() {
         prop_assert_eq!(b1.speedup, b2.speedup);
     });
 }
+
+/// The evaluator's stream memo changes no reported number. For every
+/// small-scale benchmark, one long-lived evaluator scores a run of random
+/// cluster-legal configurations (sequentially, then the rest as one
+/// batch) bit-identically to memo-free `run_config` runs scored against
+/// the same reference; and every run is accounted to exactly one of a
+/// simulation or a memo hit.
+#[test]
+fn stream_memo_is_bit_identical_to_run_config() {
+    use mixp_core::perf::{CacheParams, CostModel};
+    use mixp_core::{run_config, Granularity, Obs, SearchSpace};
+
+    let benches: Vec<Box<dyn Benchmark>> = {
+        let mut all = mixp_kernels::all_kernels_small();
+        all.extend(mixp_apps::all_applications_small());
+        all
+    };
+    assert_eq!(benches.len(), 17);
+    let params = CacheParams::default();
+    let model = CostModel::default();
+    prop_check!(cases = 8, (seed in u64s(0..1_000_000), workers in usizes(1..3)) => {
+        for (b, bench) in benches.iter().enumerate() {
+            let pm = bench.program();
+            let space = SearchSpace::new(pm, Granularity::Clusters);
+            let mut rng = SplitMix64::new(seed ^ (b as u64) << 32);
+            let cfgs: Vec<PrecisionConfig> = (0..10)
+                .map(|_| {
+                    let mask: Vec<bool> = (0..space.len()).map(|_| rng.next_range(2) == 0).collect();
+                    space.config_from_mask(pm, &mask)
+                })
+                .collect();
+
+            let obs = Obs::in_memory();
+            let mut ev = EvaluatorBuilder::new(QualityThreshold::new(1e-3))
+                .workers(workers)
+                .obs(obs.clone())
+                .build(bench.as_ref());
+            let (half, rest) = cfgs.split_at(cfgs.len() / 2);
+            let mut records: Vec<_> = half.iter().map(|c| ev.evaluate(c)).collect();
+            records.extend(ev.evaluate_batch(rest));
+
+            let (ref_out, ref_counts, ref_stats) = run_config(bench.as_ref(), &pm.config_all_double(), params);
+            prop_assert!(
+                ref_out.iter().map(|v| v.to_bits()).eq(ev.reference_output().iter().map(|v| v.to_bits())),
+                "{}: reference outputs diverge", bench.name()
+            );
+            let ref_cost = model.cost(&ref_counts, Some(&ref_stats));
+            for (cfg, rec) in cfgs.iter().zip(&records) {
+                let rec = rec.as_ref().expect("no budget, deadline or token");
+                prop_assert!(rec.compiled, "{}: cluster configs compile", bench.name());
+                let (out, counts, stats) = run_config(bench.as_ref(), cfg, params);
+                let cost = model.cost(&counts, Some(&stats));
+                let speedup = if cost == 0.0 { 1.0 } else { ref_cost / cost };
+                let quality = bench.metric().compare(&ref_out, &out);
+                prop_assert_eq!(rec.quality.to_bits(), quality.to_bits(), "{} quality", bench.name());
+                prop_assert_eq!(rec.speedup.to_bits(), speedup.to_bits(), "{} speedup", bench.name());
+            }
+
+            let snap = obs.metrics_snapshot().expect("in-memory obs has metrics");
+            let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+            prop_assert_eq!(
+                counter("evaluator.stream_sims") + counter("evaluator.stream_hits"),
+                counter("evaluator.runs") + 1,
+                "{}: every run, the reference included, simulates or hits", bench.name()
+            );
+            prop_assert!(counter("evaluator.stream_fallbacks") <= counter("evaluator.stream_sims"));
+        }
+    });
+}

@@ -1,7 +1,7 @@
 //! End-to-end integration tests: full searches through the public API,
 //! spanning kernels, applications and all six algorithms.
 
-use mixp_core::{Evaluator, EvaluatorBuilder, QualityThreshold};
+use mixp_core::{Evaluator, EvaluatorBuilder, Obs, QualityThreshold};
 use mixp_harness::{benchmark_by_name, Scale};
 use mixp_search::{algorithm_by_name, all_algorithms, DeltaDebug, SearchAlgorithm};
 
@@ -132,4 +132,30 @@ fn srad_never_returns_nan_configs() {
         }
     }
     let _ = bench;
+}
+
+/// A genetic search on small-scale hpccg revisits a few access streams
+/// across its evaluations, so the evaluator's stream memo serves runs
+/// from a fingerprint instead of simulating them.
+#[test]
+fn ga_cell_on_hpccg_records_stream_memo_hits() {
+    let bench = benchmark_by_name("hpccg", Scale::Small).unwrap();
+    let obs = Obs::in_memory();
+    let mut ev = EvaluatorBuilder::new(QualityThreshold::new(1e-6))
+        .obs(obs.clone())
+        .build(bench.as_ref());
+    let result = algorithm_by_name("GA").unwrap().search(&mut ev);
+    assert!(result.evaluated > 0);
+    let snap = obs.metrics_snapshot().expect("in-memory obs has metrics");
+    let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+    assert!(
+        counter("evaluator.stream_hits") > 0,
+        "no fingerprint hits: {:?}",
+        snap.counters
+    );
+    assert_eq!(
+        counter("evaluator.stream_sims") + counter("evaluator.stream_hits"),
+        counter("evaluator.runs") + 1,
+        "every run, the reference included, simulates or hits"
+    );
 }
