@@ -91,14 +91,14 @@ fn main() {
         let mut ctx = ExecCtx::new(&cfg);
         let x = MpVec::from_values(&mut ctx, vx, &values);
         let mut y = MpVec::from_values(&mut ctx, vy, &values);
-        let mut acc = MpScalar::new(&mut ctx, vacc, 0.0);
+        let mut acc = MpScalar::new(&ctx, vacc, 0.0);
         b.iter(|| black_box(scalar_round(&mut ctx, &x, &mut y, &mut acc)))
     });
     group.bench_function("axpy_dot/bulk-untraced", |b| {
         let mut ctx = ExecCtx::new(&cfg);
         let x = MpVec::from_values(&mut ctx, vx, &values);
         let mut y = MpVec::from_values(&mut ctx, vy, &values);
-        let mut acc = MpScalar::new(&mut ctx, vacc, 0.0);
+        let mut acc = MpScalar::new(&ctx, vacc, 0.0);
         b.iter(|| black_box(bulk_round(&mut ctx, &x, &mut y, &mut acc)))
     });
     group.bench_function("axpy_dot/scalar-traced", |b| {
@@ -106,7 +106,7 @@ fn main() {
         let mut ctx = ExecCtx::with_tracer(&cfg, &mut sink);
         let x = MpVec::from_values(&mut ctx, vx, &values);
         let mut y = MpVec::from_values(&mut ctx, vy, &values);
-        let mut acc = MpScalar::new(&mut ctx, vacc, 0.0);
+        let mut acc = MpScalar::new(&ctx, vacc, 0.0);
         b.iter(|| black_box(scalar_round(&mut ctx, &x, &mut y, &mut acc)))
     });
     group.bench_function("axpy_dot/bulk-traced", |b| {
@@ -114,7 +114,7 @@ fn main() {
         let mut ctx = ExecCtx::with_tracer(&cfg, &mut sink);
         let x = MpVec::from_values(&mut ctx, vx, &values);
         let mut y = MpVec::from_values(&mut ctx, vy, &values);
-        let mut acc = MpScalar::new(&mut ctx, vacc, 0.0);
+        let mut acc = MpScalar::new(&ctx, vacc, 0.0);
         b.iter(|| black_box(bulk_round(&mut ctx, &x, &mut y, &mut acc)))
     });
     group.bench_function("axpy_dot/cache-group", |b| {
@@ -122,7 +122,7 @@ fn main() {
         let mut ctx = ExecCtx::with_tracer(&cfg, &mut sim);
         let x = MpVec::from_values(&mut ctx, vx, &values);
         let mut y = MpVec::from_values(&mut ctx, vy, &values);
-        let mut acc = MpScalar::new(&mut ctx, vacc, 0.0);
+        let mut acc = MpScalar::new(&ctx, vacc, 0.0);
         b.iter(|| black_box(bulk_round(&mut ctx, &x, &mut y, &mut acc)))
     });
     group.bench_function("axpy_dot/cache-elementwise", |b| {
@@ -130,7 +130,7 @@ fn main() {
         let mut ctx = ExecCtx::with_tracer(&cfg, &mut sim);
         let x = MpVec::from_values(&mut ctx, vx, &values);
         let mut y = MpVec::from_values(&mut ctx, vy, &values);
-        let mut acc = MpScalar::new(&mut ctx, vacc, 0.0);
+        let mut acc = MpScalar::new(&ctx, vacc, 0.0);
         b.iter(|| black_box(bulk_round(&mut ctx, &x, &mut y, &mut acc)))
     });
     group.finish();

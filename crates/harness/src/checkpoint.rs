@@ -36,17 +36,19 @@
 //! Transient failures (panics, deadline timeouts) are deliberately *not*
 //! journaled — they deserve a fresh attempt on resume.
 
+use crate::interchange::{precision_from_name, precision_name};
 use crate::job::{Job, JobError, JobResult};
 pub use crate::journal::compact;
 use crate::journal::JsonlJournal;
 use crate::json::Json;
+use crate::lock_recovering;
 use crate::registry::{benchmark_by_name, Scale};
 use mixp_core::float::VarRegistry;
 use mixp_core::{EvalRecord, Precision, PrecisionConfig};
 use mixp_search::SearchResult;
 use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Version tag of the run-state format.
 pub const STATE_VERSION: &str = "mixp-run-state-1";
@@ -87,23 +89,6 @@ pub struct RunState {
     pub failed: BTreeMap<usize, JobError>,
 }
 
-fn precision_name(p: Precision) -> &'static str {
-    match p {
-        Precision::Half => "half",
-        Precision::Single => "float",
-        Precision::Double => "double",
-    }
-}
-
-fn precision_from_name(name: &str) -> Option<Precision> {
-    match name {
-        "half" => Some(Precision::Half),
-        "float" => Some(Precision::Single),
-        "double" => Some(Precision::Double),
-        _ => None,
-    }
-}
-
 /// The variable names of one benchmark at one scale, and its all-double
 /// configuration: all that the cell codec needs from a benchmark.
 struct VarNames {
@@ -115,14 +100,11 @@ struct VarNames {
 /// Building a benchmark generates its inputs, which a journal write or a
 /// status answer must not pay per cell. Unknown names are not cached.
 fn var_names(benchmark: &str, scale: Scale) -> Option<Arc<VarNames>> {
-    static TABLES: OnceLock<Mutex<HashMap<(String, Scale), Arc<VarNames>>>> = OnceLock::new();
+    type Tables = Mutex<HashMap<(String, Scale), Arc<VarNames>>>;
+    static TABLES: OnceLock<Tables> = OnceLock::new();
     let tables = TABLES.get_or_init(Mutex::default);
     let key = (benchmark.to_string(), scale);
-    if let Some(names) = tables
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .get(&key)
-    {
+    if let Some(names) = lock_recovering(tables).get(&key) {
         return Some(Arc::clone(names));
     }
     let bench = benchmark_by_name(benchmark, scale)?;
@@ -131,7 +113,7 @@ fn var_names(benchmark: &str, scale: Scale) -> Option<Arc<VarNames>> {
         registry: program.registry().clone(),
         all_double: program.config_all_double(),
     });
-    let mut tables = tables.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut tables = lock_recovering(tables);
     Some(Arc::clone(tables.entry(key).or_insert(built)))
 }
 
@@ -171,7 +153,7 @@ pub fn result_doc(index: usize, job: &Job, result: &JobResult) -> Json {
             ])
         }
     };
-    let doc = Json::Object(vec![
+    Json::Object(vec![
         ("job".to_string(), Json::Number(index as f64)),
         (
             "benchmark".to_string(),
@@ -193,8 +175,7 @@ pub fn result_doc(index: usize, job: &Job, result: &JobResult) -> Json {
         ),
         ("dnf".to_string(), Json::Bool(result.result.dnf)),
         ("best".to_string(), best),
-    ]);
-    doc
+    ])
 }
 
 /// The JSON document behind [`Journal::record_failure`]'s line. The typed

@@ -19,6 +19,7 @@
 
 use crate::journal::JsonlJournal;
 use crate::json::Json;
+use crate::lock_recovering;
 use crate::registry::Scale;
 use mixp_core::{CachedEval, ConfigKey, EvalCache};
 use std::collections::hash_map::DefaultHasher;
@@ -26,7 +27,7 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
 /// Shard count: enough to keep contention negligible for the scheduler's
 /// worker counts while staying cheap to allocate per campaign.
@@ -86,15 +87,6 @@ impl Default for SharedEvalCache {
     fn default() -> Self {
         SharedEvalCache::new()
     }
-}
-
-/// Locks a shard, recovering the data if a previous holder panicked — the
-/// cache holds plain values written in one step, so a poisoned lock cannot
-/// hold a torn entry.
-fn lock_recovering<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 impl SharedEvalCache {
@@ -547,7 +539,7 @@ mod tests {
                 });
             }
         });
-        assert!(cache.len() > 0);
+        assert!(!cache.is_empty());
         assert_eq!(cache.misses(), 0, "every get follows its own put");
     }
 }

@@ -21,6 +21,26 @@ use std::fmt;
 /// Version tag written into every interchange document.
 pub const FORMAT_VERSION: &str = "hpc-mixpbench-1";
 
+/// The FloatSmith type name of a precision: the `to_type` of an interchange
+/// action and of a lowered variable in a journal record.
+pub(crate) fn precision_name(p: Precision) -> &'static str {
+    match p {
+        Precision::Half => "half",
+        Precision::Single => "float",
+        Precision::Double => "double",
+    }
+}
+
+/// The precision a FloatSmith type name denotes, if it is one.
+pub(crate) fn precision_from_name(name: &str) -> Option<Precision> {
+    match name {
+        "half" => Some(Precision::Half),
+        "float" => Some(Precision::Single),
+        "double" => Some(Precision::Double),
+        _ => None,
+    }
+}
+
 /// Serialises a configuration as a FloatSmith-style action list: one
 /// `change_var_basetype` action per variable lowered to single precision.
 pub fn config_to_json(program: &ProgramModel, cfg: &PrecisionConfig) -> String {
@@ -28,11 +48,6 @@ pub fn config_to_json(program: &ProgramModel, cfg: &PrecisionConfig) -> String {
         .iter()
         .filter(|(_, p)| *p != Precision::Double)
         .map(|(v, p)| {
-            let to_type = match p {
-                Precision::Half => "half",
-                Precision::Single => "float",
-                Precision::Double => unreachable!("filtered above"),
-            };
             Json::Object(vec![
                 (
                     "action".to_string(),
@@ -42,7 +57,10 @@ pub fn config_to_json(program: &ProgramModel, cfg: &PrecisionConfig) -> String {
                     "name".to_string(),
                     Json::String(program.registry().name(v).to_string()),
                 ),
-                ("to_type".to_string(), Json::String(to_type.to_string())),
+                (
+                    "to_type".to_string(),
+                    Json::String(precision_name(p).to_string()),
+                ),
             ])
         })
         .collect();
@@ -125,16 +143,9 @@ pub fn config_from_json(
             .get("to_type")
             .and_then(Json::as_str)
             .unwrap_or("float");
-        let prec = match to_type {
-            "half" => Precision::Half,
-            "float" => Precision::Single,
-            "double" => Precision::Double,
-            other => {
-                return Err(InterchangeError {
-                    message: format!("unsupported target type `{other}`"),
-                })
-            }
-        };
+        let prec = precision_from_name(to_type).ok_or_else(|| InterchangeError {
+            message: format!("unsupported target type `{to_type}`"),
+        })?;
         let var = program
             .registry()
             .find(name)

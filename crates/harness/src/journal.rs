@@ -34,38 +34,7 @@ use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::Path;
 
-/// One-line JSON rendering (the pretty writer inserts newlines, which the
-/// journal format forbids). Used for every journal line and by the
-/// campaign service's wire protocol.
-pub fn compact(doc: &Json) -> String {
-    match doc {
-        Json::Null => "null".to_string(),
-        Json::Bool(b) => if *b { "true" } else { "false" }.to_string(),
-        Json::Number(n) => {
-            if n.is_finite() {
-                format!("{n}")
-            } else {
-                "null".to_string()
-            }
-        }
-        Json::String(s) => {
-            // Reuse the escaping of the pretty writer: a lone string has no
-            // indentation, so pretty == compact here.
-            Json::String(s.clone()).pretty()
-        }
-        Json::Array(items) => {
-            let inner: Vec<String> = items.iter().map(compact).collect();
-            format!("[{}]", inner.join(","))
-        }
-        Json::Object(members) => {
-            let inner: Vec<String> = members
-                .iter()
-                .map(|(k, v)| format!("{}:{}", Json::String(k.clone()).pretty(), compact(v)))
-                .collect();
-            format!("{{{}}}", inner.join(","))
-        }
-    }
-}
+pub use crate::json::compact;
 
 /// An open, append-mode JSON-lines journal (see the module docs).
 #[derive(Debug)]
@@ -133,7 +102,7 @@ impl JsonlJournal {
         self.file.write_all(line.as_bytes())?;
         self.file.flush()?;
         self.appends += 1;
-        if self.fsync_every > 0 && self.appends % self.fsync_every == 0 {
+        if self.fsync_every > 0 && self.appends.is_multiple_of(self.fsync_every) {
             self.file.sync_data()?;
         }
         Ok(())

@@ -1,438 +1,18 @@
-//! A small, dependency-free JSON reader/writer used by the FloatSmith-style
-//! interchange format ([`crate::interchange`]).
+//! The workspace's one JSON codec, [`mixp_core::obs::json`], re-exported
+//! under its historical path for the interchange format
+//! ([`crate::interchange`]), the journals and the campaign service.
 //!
-//! Full JSON value model with strict parsing (trailing garbage, bad
-//! escapes, and malformed numbers are errors). Writing is deterministic:
-//! object keys keep insertion order, floats print via Rust's shortest
-//! round-trip formatting.
+//! The codec lives in the dependency-free `mixp-obs` crate so the trace
+//! writer can share it; its generated-input property tests live here,
+//! where the in-tree property harness is available.
 
-use std::fmt;
-
-/// A JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any number (held as f64, like JavaScript).
-    Number(f64),
-    /// A string.
-    String(String),
-    /// An array.
-    Array(Vec<Json>),
-    /// An object, in insertion order.
-    Object(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Member lookup on objects.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Object(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string contents, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Number(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The items, if this is an array.
-    pub fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Serialises with 2-space indentation.
-    pub fn pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Number(n) => {
-                if n.is_finite() {
-                    out.push_str(&format!("{n}"));
-                } else {
-                    // JSON has no NaN/Inf; encode as null like most writers.
-                    out.push_str("null");
-                }
-            }
-            Json::String(s) => write_escaped(out, s),
-            Json::Array(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    out.push_str(&"  ".repeat(indent + 1));
-                    item.write(out, indent + 1);
-                }
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent));
-                out.push(']');
-            }
-            Json::Object(members) => {
-                if members.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (k, v)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    out.push_str(&"  ".repeat(indent + 1));
-                    write_escaped(out, k);
-                    out.push_str(": ");
-                    v.write(out, indent + 1);
-                }
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent));
-                out.push('}');
-            }
-        }
-    }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Error produced on malformed JSON input.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonError {
-    /// Byte offset of the failure.
-    pub offset: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl fmt::Display for JsonError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "json error at byte {}: {}", self.offset, self.message)
-    }
-}
-
-impl std::error::Error for JsonError {}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err<T>(&self, message: impl Into<String>) -> Result<T, JsonError> {
-        Err(JsonError {
-            offset: self.pos,
-            message: message.into(),
-        })
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            self.err(format!("expected `{}`", b as char))
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            self.err(format!("expected `{word}`"))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, JsonError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            Some(c) => self.err(format!("unexpected `{}`", c as char)),
-            None => self.err("unexpected end of input"),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return self.err("unterminated string"),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex =
-                                self.bytes.get(self.pos + 1..self.pos + 5).ok_or_else(|| {
-                                    JsonError {
-                                        offset: self.pos,
-                                        message: "truncated \\u escape".to_string(),
-                                    }
-                                })?;
-                            let code = std::str::from_utf8(hex)
-                                .ok()
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| JsonError {
-                                    offset: self.pos,
-                                    message: "bad \\u escape".to_string(),
-                                })?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return self.err("bad escape"),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|_| JsonError {
-                            offset: self.pos,
-                            message: "invalid utf-8".to_string(),
-                        })?;
-                    let ch = rest.chars().next().expect("peek saw a byte");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        match text.parse::<f64>() {
-            Ok(n) => Ok(Json::Number(n)),
-            Err(_) => self.err(format!("malformed number `{text}`")),
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                _ => return self.err("expected `,` or `]`"),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Object(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.value()?;
-            members.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Object(members));
-                }
-                _ => return self.err("expected `,` or `}`"),
-            }
-        }
-    }
-}
-
-/// Parses a complete JSON document.
-///
-/// # Errors
-///
-/// Returns [`JsonError`] on malformed input or trailing garbage.
-pub fn parse(text: &str) -> Result<Json, JsonError> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let value = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return p.err("trailing garbage");
-    }
-    Ok(value)
-}
+pub use mixp_core::obs::json::*;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mixp_core::prop::{bools, f64s, just, map, one_of, strings_of, vecs, Gen};
-    use mixp_core::{prop_assert_eq, prop_check};
-
-    #[test]
-    fn scalars_round_trip() {
-        for (text, value) in [
-            ("null", Json::Null),
-            ("true", Json::Bool(true)),
-            ("false", Json::Bool(false)),
-            ("42", Json::Number(42.0)),
-            ("-1.5e3", Json::Number(-1500.0)),
-            ("\"hi\"", Json::String("hi".to_string())),
-        ] {
-            assert_eq!(parse(text).unwrap(), value, "{text}");
-        }
-    }
-
-    #[test]
-    fn nested_document_parses() {
-        let doc = r#"{"a": [1, {"b": "x\n"}], "c": null}"#;
-        let v = parse(doc).unwrap();
-        assert_eq!(v.get("a").unwrap().as_array().unwrap().len(), 2);
-        assert_eq!(
-            v.get("a").unwrap().as_array().unwrap()[1]
-                .get("b")
-                .unwrap()
-                .as_str(),
-            Some("x\n")
-        );
-        assert_eq!(v.get("c"), Some(&Json::Null));
-    }
-
-    #[test]
-    fn pretty_output_reparses() {
-        let v = Json::Object(vec![
-            (
-                "name".to_string(),
-                Json::String("eos \"quoted\"".to_string()),
-            ),
-            (
-                "vals".to_string(),
-                Json::Array(vec![Json::Number(1.5), Json::Bool(false), Json::Null]),
-            ),
-            ("empty".to_string(), Json::Object(Vec::new())),
-        ]);
-        assert_eq!(parse(&v.pretty()).unwrap(), v);
-    }
-
-    #[test]
-    fn errors_are_located() {
-        assert!(parse("{\"a\" 1}").unwrap_err().message.contains(":"));
-        assert!(parse("[1,]").is_err());
-        assert!(parse("12 34").unwrap_err().message.contains("trailing"));
-        assert!(parse("\"open")
-            .unwrap_err()
-            .message
-            .contains("unterminated"));
-    }
-
-    #[test]
-    fn unicode_escapes() {
-        assert_eq!(
-            parse("\"\\u0041\\u00e9\"").unwrap(),
-            Json::String("Aé".to_string())
-        );
-    }
-
-    #[test]
-    fn non_finite_numbers_write_as_null() {
-        assert_eq!(Json::Number(f64::NAN).pretty(), "null");
-    }
+    use mixp_core::prop::{bools, f64s, i64s, just, map, one_of, strings_of, u64s, vecs, Gen};
+    use mixp_core::{prop_assert, prop_assert_eq, prop_check, Obs, Value};
 
     fn arb_json(depth: u32) -> Box<dyn Gen<Value = Json>> {
         // The same value shapes the proptest version generated: scalar
@@ -469,6 +49,88 @@ mod tests {
     fn write_parse_round_trip() {
         prop_check!((v in arb_json(3)) => {
             prop_assert_eq!(parse(&v.pretty()).unwrap(), v);
+        });
+    }
+
+    /// Characters that stress the trace writer's escaping: quotes,
+    /// backslashes, newlines, tabs and other control characters, plus a
+    /// multi-byte one.
+    const NASTY: &str = "ab_.\"\\\n\t\r\u{1}\u{1f}é";
+
+    fn arb_value() -> Box<dyn Gen<Value = Value>> {
+        Box::new(one_of(vec![
+            Box::new(map(u64s(0..u64::MAX), Value::U64)),
+            Box::new(map(i64s(-(1 << 62)..1 << 62), Value::I64)),
+            Box::new(map(bools(), Value::Bool)),
+            Box::new(map(f64s(-1.0e12..1.0e12), Value::F64)),
+            Box::new(just(Value::F64(f64::NAN))),
+            Box::new(just(Value::F64(f64::INFINITY))),
+            Box::new(just(Value::F64(f64::NEG_INFINITY))),
+            Box::new(map(strings_of(NASTY, 0..9), Value::S)),
+        ]))
+    }
+
+    /// What a field value must read back as.
+    fn expected(value: &Value) -> Json {
+        match value {
+            Value::U64(v) => Json::Number(*v as f64),
+            Value::I64(v) => Json::Number(*v as f64),
+            Value::F64(v) if v.is_finite() => Json::Number(*v),
+            Value::F64(_) => Json::Null,
+            Value::Str(s) => Json::String(s.to_string()),
+            Value::S(s) => Json::String(s.clone()),
+            Value::Bool(b) => Json::Bool(*b),
+        }
+    }
+
+    fn member(key: &str, value: Json) -> (String, Json) {
+        (key.to_string(), value)
+    }
+
+    /// Every record the trace writer emits (event, span start with a
+    /// parent, span end) parses back into exactly the fields it was
+    /// given, and no proper prefix of it parses.
+    #[test]
+    fn trace_records_parse_into_their_fields() {
+        prop_check!((
+            name in strings_of(NASTY, 0..9),
+            fields in vecs((strings_of(NASTY, 0..7), arb_value()), 0..5),
+        ) => {
+            // Call sites pass `&'static str` names and keys; leak the
+            // drawn ones to get them.
+            let name: &'static str = Box::leak(name.into_boxed_str());
+            let fields: Vec<(&'static str, Value)> = fields
+                .into_iter()
+                .map(|(k, v)| (&*Box::leak(k.into_boxed_str()), v))
+                .collect();
+            let obs = Obs::in_memory();
+            obs.event(name, &fields);
+            obs.span_with_parent(name, Some(0), &fields).end_with(&fields);
+            let heads = [
+                vec![member("seq", Json::Number(0.0)), member("t", Json::String("event".into()))],
+                vec![
+                    member("seq", Json::Number(1.0)),
+                    member("t", Json::String("span".into())),
+                    member("id", Json::Number(1.0)),
+                    member("parent", Json::Number(0.0)),
+                ],
+                vec![
+                    member("seq", Json::Number(2.0)),
+                    member("t", Json::String("end".into())),
+                    member("id", Json::Number(1.0)),
+                ],
+            ];
+            let lines = obs.trace_lines();
+            prop_assert_eq!(lines.len(), heads.len());
+            for (line, head) in lines.iter().zip(heads) {
+                let mut want = head;
+                want.push(member("name", Json::String(name.to_string())));
+                want.extend(fields.iter().map(|(k, v)| member(k, expected(v))));
+                prop_assert_eq!(parse(line), Ok(Json::Object(want)), "record {}", line);
+                for cut in (0..line.len()).filter(|&cut| line.is_char_boundary(cut)) {
+                    prop_assert!(parse(&line[..cut]).is_err(), "prefix {:?} parses", &line[..cut]);
+                }
+            }
         });
     }
 }

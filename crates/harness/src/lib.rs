@@ -8,8 +8,9 @@
 //! * [`yamlish`] — a small, dependency-free parser for the YAML subset the
 //!   configuration files use (nested maps, lists, scalars — Listing 4).
 //! * [`config`] — typed analysis configurations parsed from YAML.
-//! * [`json`]/[`interchange`] — the FloatSmith-style JSON interchange
-//!   format for configurations and analysis results.
+//! * [`interchange`] — the FloatSmith-style JSON interchange format for
+//!   configurations and analysis results, over [`json`], a re-export of
+//!   the workspace's one JSON codec (`mixp_obs::json`).
 //! * [`registry`] — benchmark lookup by name at test/paper scale.
 //! * [`job`]/[`scheduler`] — analysis jobs (benchmark × algorithm ×
 //!   threshold × budget) fanned out over a thread pool, the stand-in for
@@ -78,6 +79,16 @@ pub mod scheduler;
 pub mod tracesum;
 pub mod watchdog;
 pub mod yamlish;
+
+/// Locks a mutex, recovering the data if a previous holder panicked. Every
+/// harness lock guards values written in single steps (job slots, cache
+/// entries, watchdog registrations, journal handles), so a poisoned lock
+/// cannot hold a torn value.
+pub(crate) fn lock_recovering<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 pub use config::AnalysisConfig;
 pub use evalcache::{ScopedEvalCache, ShardStats, SharedEvalCache};

@@ -15,6 +15,7 @@ use crate::checkpoint::Journal;
 use crate::evalcache::SharedEvalCache;
 use crate::faultplan::FaultPlan;
 use crate::job::{Job, JobError, JobResult};
+use crate::lock_recovering;
 use crate::watchdog::Watchdog;
 use mixp_core::{CancelToken, Obs, Value};
 use mixp_pool::Pool;
@@ -183,15 +184,6 @@ impl JobOutcome {
     pub fn result(&self) -> Option<&JobResult> {
         self.outcome.as_ref().ok()
     }
-}
-
-/// Locks a mutex, recovering the data if a previous holder panicked. The
-/// slot values are plain `Option`s written in one step, so a poisoned
-/// lock cannot hold a torn value.
-fn lock_recovering<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// Runs one job to completion under the campaign's retry policy.
@@ -414,8 +406,8 @@ pub fn run_campaign_with_stats(
     let watchdog = opts
         .deadline
         .map(|deadline| Watchdog::new(deadline, opts.grace, pool.clone(), opts.obs.clone()));
-    let slots: Vec<Mutex<Option<(u32, Result<JobResult, JobError>)>>> =
-        jobs.iter().map(|_| Mutex::new(None)).collect();
+    // One slot per job: (attempts, outcome), filled by the job's worker.
+    let slots: Vec<Mutex<Option<_>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
     let restored = &restored;
     let journal = journal.as_ref();
     let cache = cache.as_ref();

@@ -11,7 +11,7 @@
 //! Malformed lines (including the torn final line a killed process can
 //! leave behind) are skipped and reported, never fatal.
 
-use mixp_core::obs::{parse_trace_line, Scalar};
+use crate::json::{parse, Json};
 use std::collections::HashMap;
 
 /// Aggregated statistics for one span or event name.
@@ -69,24 +69,6 @@ pub struct TraceSummary {
     pub lines: u64,
 }
 
-fn field<'a>(fields: &'a [(String, Scalar)], key: &str) -> Option<&'a Scalar> {
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn num(fields: &[(String, Scalar)], key: &str) -> Option<f64> {
-    match field(fields, key)? {
-        Scalar::Num(v) => Some(*v),
-        _ => None,
-    }
-}
-
-fn text<'a>(fields: &'a [(String, Scalar)], key: &str) -> Option<&'a str> {
-    match field(fields, key)? {
-        Scalar::Str(s) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
 /// Summarises the JSONL text of one trace file.
 pub fn summarize_trace(input: &str) -> TraceSummary {
     // Open spans by id: (name, start wall_us if enriched).
@@ -101,24 +83,30 @@ pub fn summarize_trace(input: &str) -> TraceSummary {
             continue;
         }
         lines += 1;
-        let Some(fields) = parse_trace_line(line) else {
+        // A torn, malformed or non-object line has no `t` and is skipped.
+        let Ok(record) = parse(line) else {
             skipped += 1;
             continue;
         };
-        let Some(kind) = text(&fields, "t") else {
+        let Some(kind) = record.get("t").and_then(Json::as_str) else {
             skipped += 1;
             continue;
         };
-        let name = text(&fields, "name").unwrap_or("?").to_string();
-        let wall = num(&fields, "wall_us");
+        let num = |key| record.get(key).and_then(Json::as_f64);
+        let name = record
+            .get("name")
+            .and_then(Json::as_str)
+            .unwrap_or("?")
+            .to_string();
+        let wall = num("wall_us");
         match kind {
             "span" => {
-                if let Some(id) = num(&fields, "id") {
+                if let Some(id) = num("id") {
                     open.insert(id as u64, (name, wall));
                 }
             }
             "end" => {
-                let Some(id) = num(&fields, "id") else {
+                let Some(id) = num("id") else {
                     skipped += 1;
                     continue;
                 };
@@ -310,5 +298,21 @@ mod tests {
             vec![("phase", 1), ("step", 1)]
         );
         assert_eq!(s.events, vec![("tick".to_string(), 1)]);
+    }
+
+    #[test]
+    fn torn_tail_and_non_object_lines_are_skipped() {
+        let obs = mixp_core::Obs::in_memory();
+        obs.span("phase", &[]).end_with(&[]);
+        obs.event("tick", &[]);
+        let lines = obs.trace_lines();
+        let (last, whole) = lines.split_last().expect("three records");
+        let whole = whole.join("\n");
+        for cut in 1..last.len() {
+            let s = summarize_trace(&format!("{whole}\n[1,2]\n{}", &last[..cut]));
+            assert_eq!((s.lines, s.skipped), (4, 2), "tail cut at {cut}");
+            assert_eq!(s.spans.len(), 1);
+            assert!(s.events.is_empty(), "a torn event is not counted");
+        }
     }
 }

@@ -22,20 +22,13 @@
 //! fired, so its results are bit-identical to a watchdog-less run —
 //! property-tested in `tests/integration_watchdog.rs`.
 
+use crate::lock_recovering;
 use mixp_core::{CancelToken, Obs, Value};
 use mixp_pool::Pool;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// Locks a mutex, recovering the data if a previous holder panicked — the
-/// watchdog state is updated in single steps, so it cannot hold torn data.
-fn lock_recovering<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 /// One watched job attempt.
 struct Registration {

@@ -195,8 +195,8 @@ fn hoistable(p: &Program, body: &[Stmt]) -> bool {
                 for_each_load(expr, &mut |e| {
                     if let Expr::Load { arr, start, step } = e {
                         let idx = (*start as i64 + k as i64 * step) as usize;
-                        let fresh = written.get(&arr.0).map_or(false, |m| m[idx]);
-                        let touched = ever.get(&arr.0).map_or(false, |m| m[idx]);
+                        let fresh = written.get(&arr.0).is_some_and(|m| m[idx]);
+                        let touched = ever.get(&arr.0).is_some_and(|m| m[idx]);
                         if touched && !fresh {
                             ok = false;
                         }

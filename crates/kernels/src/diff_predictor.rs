@@ -66,9 +66,9 @@ impl DiffPredictor {
         let cxa = p.array_init(vid(cx), cx_init.clone());
         let pxa: Vec<_> = px.iter().map(|&v| p.array(vid(v), n)).collect();
         let iters = (passes * (n - 1)) as u64;
-        for level in 0..4 {
-            p.flop(vid(px[level]), &[vid(cx)], 3 * iters);
-            p.flop(vid(cx), &[vid(px[level])], 4 * iters);
+        for &level in &px {
+            p.flop(vid(level), &[vid(cx)], 3 * iters);
+            p.flop(vid(cx), &[vid(level)], 4 * iters);
         }
         p.flop(vid(cx), &[], iters);
         p.begin_repeat(passes);
@@ -189,8 +189,8 @@ impl Benchmark for DiffPredictor {
                 // the worst-case gain of the difference operator stays
                 // below one, so storage rounding cannot be amplified.
                 let mut w = 0.01;
-                for level in 0..4 {
-                    acc += w * px[level].raw()[i];
+                for level in &px {
+                    acc += w * level.raw()[i];
                     w *= 0.5;
                 }
                 cx.write_rounded(i, acc * 0.5);

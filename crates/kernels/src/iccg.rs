@@ -191,12 +191,10 @@ impl Benchmark for Iccg {
                     .rebase(4, &x, k0 + 1)
                     .rebase(5, &x, ipntp);
                 level.commit(ctx, klen);
-                let mut i = ipntp;
-                for k in ((ipnt + 1)..(ipntp - 1)).step_by(2) {
+                for (i, k) in (ipntp..).zip(((ipnt + 1)..(ipntp - 1)).step_by(2)) {
                     let xs = x.raw();
                     let val = xs[k] - vv[k] * xs[k - 1] + vv[k + 1] * xs[k + 1];
                     x.write_rounded(i, val);
-                    i += 1;
                 }
             }
         }

@@ -323,8 +323,8 @@ mod tests {
         assert_eq!(key.len(), 70);
         assert_eq!(key.words().len(), 3);
         let unpacked = key.unpack();
-        for i in 0..70 {
-            assert_eq!(unpacked[i], cfg.get(VarId::from_index(i)), "var {i}");
+        for (i, &prec) in unpacked.iter().enumerate() {
+            assert_eq!(prec, cfg.get(VarId::from_index(i)), "var {i}");
         }
     }
 

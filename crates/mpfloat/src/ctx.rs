@@ -161,18 +161,6 @@ impl<'a> ExecCtx<'a> {
         self.cfg.get(var)
     }
 
-    /// Whether a [`MemoryTracer`] is attached to this run.
-    ///
-    /// When `false`, no per-element access stream exists to preserve, so
-    /// bulk operations are free to take count-only fast paths. Benchmarks
-    /// use this to select an uninstrumented hot loop whose observable
-    /// counts and output values are bit-identical to the traced one (the
-    /// invariant is property-tested in `tests/integration_properties.rs`).
-    #[inline]
-    pub fn is_traced(&self) -> bool {
-        self.tracer.is_some()
-    }
-
     /// Operation counters accumulated so far.
     #[inline]
     pub fn counts(&self) -> OpCounts {
@@ -277,17 +265,6 @@ impl<'a> ExecCtx<'a> {
             Precision::Double => self.counts.heavy_f64 += count,
         }
         self.counts.casts += sig.casts_per_op * count;
-    }
-
-    /// Records `count` operations among variables that all share `var`'s
-    /// precision (a common shorthand for elementwise updates).
-    #[inline]
-    pub fn flop_uniform(&mut self, var: VarId, count: u64) {
-        match self.precision_of(var) {
-            Precision::Half => self.counts.flops_f16 += count,
-            Precision::Single => self.counts.flops_f32 += count,
-            Precision::Double => self.counts.flops_f64 += count,
-        }
     }
 
     /// Reserves a synthetic address range of `bytes` bytes for non-float

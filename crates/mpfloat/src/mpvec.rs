@@ -5,8 +5,10 @@
 //! allocation time — precisions are immutable for the lifetime of an
 //! [`ExecCtx`] — so per-access configuration lookups never happen on the
 //! hot path. The bulk primitives ([`MpVec::fill`], [`MpVec::copy_from`],
-//! [`MpVec::axpy`], [`MpVec::dot`], …) each document the canonical
-//! element-wise loop they replace and are *bit-identical* to it in output
+//! [`MpVec::axpy`], [`MpVec::xpby`], [`MpVec::dot`],
+//! [`MpVec::dot_weighted`], [`MpVec::sum_with_squares`]) are the ones
+//! benchmark code calls; each documents the canonical element-wise loop
+//! it replaces and are *bit-identical* to it in output
 //! values, op counts, and traced access sequence. There is a single path
 //! for both tracer modes: counts are charged once per sweep, the access
 //! stream is emitted as one batched [`crate::StreamSpec`] group (a no-op
@@ -202,8 +204,7 @@ impl MpVec {
     /// Streams one element access to the tracer without counting: the
     /// per-element escape hatch for data-dependent patterns (gathers
     /// through runtime indices) whose loads/stores are charged in bulk via
-    /// [`MpVec::bulk_loads`]/[`MpVec::bulk_stores`]. A no-op when
-    /// untraced.
+    /// [`MpVec::bulk_loads`]. A no-op when untraced.
     #[inline]
     pub fn trace_element(&self, ctx: &mut ExecCtx<'_>, i: usize, write: bool) {
         ctx.trace_untyped(self.elem_addr(i), self.prec.bytes() as u8, write);
@@ -262,13 +263,6 @@ impl MpVec {
         self.data.fill((self.round)(v));
     }
 
-    /// Stores `v` into elements `start .. start + n`. Canonical loop:
-    /// `for i in start..start + n { self.set(ctx, i, v) }`.
-    pub fn fill_range(&mut self, ctx: &mut ExecCtx<'_>, start: usize, n: usize, v: f64) {
-        ctx.record_stores(self.prec, self.base, start, n);
-        self.data[start..start + n].fill((self.round)(v));
-    }
-
     /// Copies `src` into `self`, re-rounding into `self`'s storage
     /// precision. Canonical loop:
     /// `for i { let t = src.get(ctx, i); self.set(ctx, i, t) }`.
@@ -293,20 +287,6 @@ impl MpVec {
                 }
             });
         }
-    }
-
-    /// Scales every element in place. Canonical loop:
-    /// `for i { let t = self.get(ctx, i); self.set(ctx, i, t * a) }`.
-    pub fn scale(&mut self, ctx: &mut ExecCtx<'_>, a: f64) {
-        let n = self.data.len();
-        ctx.count_loads(self.prec, n as u64);
-        ctx.count_stores(self.prec, n as u64);
-        ctx.trace_group(&[self.stream_load(0, 1), self.stream_store(0, 1)], n);
-        per_prec!(self.prec, r, {
-            for d in self.data.iter_mut() {
-                *d = r(*d * a);
-            }
-        });
     }
 
     /// `self[i] = self[i] + a * x[i]`. Canonical loop:
@@ -400,22 +380,6 @@ impl MpVec {
         });
     }
 
-    /// Accumulates the element sum into `acc`, rounding the running sum
-    /// through `acc`'s precision at every step. Canonical loop:
-    /// `for i { let t = self.get(ctx, i); acc.set(ctx, acc.get() + t) }`.
-    pub fn sum(&self, ctx: &mut ExecCtx<'_>, acc: &mut MpScalar) {
-        let n = self.data.len();
-        ctx.count_loads(self.prec, n as u64);
-        ctx.trace_group(&[self.stream_load(0, 1)], n);
-        per_prec!(acc.precision(), r, {
-            let mut a = acc.get();
-            for &x in &self.data {
-                a = r(a + x);
-            }
-            acc.assign_prerounded(a);
-        });
-    }
-
     /// Accumulates the element sum into `acc` and the sum of squares into
     /// `acc2` off a *single* load per element. Canonical loop:
     /// `for i { let v = self.get(ctx, i); acc.set(ctx, acc.get() + v);
@@ -439,27 +403,13 @@ impl MpVec {
         acc2.assign_prerounded(b);
     }
 
-    /// Stores `f(i)` into every element. Canonical loop:
-    /// `for i { self.set(ctx, i, f(i)) }`. The closure must not perform
-    /// counted or traced work of its own (it receives no context).
-    pub fn map_store(&mut self, ctx: &mut ExecCtx<'_>, mut f: impl FnMut(usize) -> f64) {
-        let n = self.data.len();
-        ctx.count_stores(self.prec, n as u64);
-        ctx.trace_group(&[self.stream_store(0, 1)], n);
-        per_prec!(self.prec, r, {
-            for (i, d) in self.data.iter_mut().enumerate() {
-                *d = r(f(i));
-            }
-        });
-    }
-
     // ------------------------------------------------------------------
     // Raw fast-path tools, for benchmark loops whose access pattern fits
     // no named primitive. The single hot loop computes over `raw()`/
     // `write_rounded` and declares its access streams once as a
     // `crate::StreamGroup` (whose `commit` both counts and traces), with
-    // `bulk_loads`/`bulk_stores` + `trace_element` covering the
-    // data-dependent accesses a static stream cannot express.
+    // `bulk_loads` + `trace_element` covering the data-dependent accesses
+    // a static stream cannot express.
     // ------------------------------------------------------------------
 
     /// Uncounted, untracked view of the stored (already rounded) values.
@@ -472,7 +422,7 @@ impl MpVec {
     }
 
     /// Rounds `v` into storage and writes element `i` without accounting.
-    /// Pair with a committed store stream (or [`MpVec::bulk_stores`]).
+    /// Pair with a committed store stream.
     /// Returns the value as stored.
     #[inline]
     pub fn write_rounded(&mut self, i: usize, v: f64) -> f64 {
@@ -489,13 +439,6 @@ impl MpVec {
     #[inline]
     pub fn bulk_loads(&self, ctx: &mut ExecCtx<'_>, n: u64) {
         ctx.count_loads(self.prec, n);
-    }
-
-    /// Charges `n` element stores of this array to the op counters in one
-    /// step. Same pairing contract as [`MpVec::bulk_loads`].
-    #[inline]
-    pub fn bulk_stores(&self, ctx: &mut ExecCtx<'_>, n: u64) {
-        ctx.count_stores(self.prec, n);
     }
 }
 
@@ -908,24 +851,6 @@ mod bulk_equivalence_tests {
     }
 
     #[test]
-    fn fill_range_matches_scalar_loop() {
-        check_equivalence(
-            |ctx, [a, _, _]| {
-                let mut v = MpVec::from_values(ctx, a, &seeded(N, 1));
-                v.fill_range(ctx, 3, 9, -0.75);
-                v.snapshot()
-            },
-            |ctx, [a, _, _]| {
-                let mut v = MpVec::from_values(ctx, a, &seeded(N, 1));
-                for i in 3..12 {
-                    v.set(ctx, i, -0.75);
-                }
-                v.snapshot()
-            },
-        );
-    }
-
-    #[test]
     fn copy_from_matches_scalar_loop() {
         check_equivalence(
             |ctx, [a, b, _]| {
@@ -942,25 +867,6 @@ mod bulk_equivalence_tests {
                     dst.set(ctx, i, t);
                 }
                 dst.snapshot()
-            },
-        );
-    }
-
-    #[test]
-    fn scale_matches_scalar_loop() {
-        check_equivalence(
-            |ctx, [a, _, _]| {
-                let mut v = MpVec::from_values(ctx, a, &seeded(N, 4));
-                v.scale(ctx, 1.0 / 3.0);
-                v.snapshot()
-            },
-            |ctx, [a, _, _]| {
-                let mut v = MpVec::from_values(ctx, a, &seeded(N, 4));
-                for i in 0..v.len() {
-                    let t = v.get(ctx, i);
-                    v.set(ctx, i, t * (1.0 / 3.0));
-                }
-                v.snapshot()
             },
         );
     }
@@ -1055,27 +961,6 @@ mod bulk_equivalence_tests {
     }
 
     #[test]
-    fn sum_matches_scalar_loop() {
-        check_equivalence(
-            |ctx, [a, _, c]| {
-                let x = MpVec::from_values(ctx, a, &seeded(N, 13));
-                let mut acc = MpScalar::new(ctx, c, 0.0);
-                x.sum(ctx, &mut acc);
-                vec![acc.get()]
-            },
-            |ctx, [a, _, c]| {
-                let x = MpVec::from_values(ctx, a, &seeded(N, 13));
-                let mut acc = MpScalar::new(ctx, c, 0.0);
-                for i in 0..x.len() {
-                    let t = x.get(ctx, i);
-                    acc.set(ctx, acc.get() + t);
-                }
-                vec![acc.get()]
-            },
-        );
-    }
-
-    #[test]
     fn sum_with_squares_matches_scalar_loop() {
         check_equivalence(
             |ctx, [a, b, _]| {
@@ -1100,33 +985,15 @@ mod bulk_equivalence_tests {
     }
 
     #[test]
-    fn map_store_matches_scalar_loop() {
-        check_equivalence(
-            |ctx, [a, _, _]| {
-                let mut v = MpVec::from_values(ctx, a, &seeded(N, 15));
-                v.map_store(ctx, |i| (i as f64).sin());
-                v.snapshot()
-            },
-            |ctx, [a, _, _]| {
-                let mut v = MpVec::from_values(ctx, a, &seeded(N, 15));
-                for i in 0..v.len() {
-                    v.set(ctx, i, (i as f64).sin());
-                }
-                v.snapshot()
-            },
-        );
-    }
-
-    #[test]
     fn raw_and_write_rounded_match_untraced_get_set_values() {
         // The raw fast-path tools must round exactly like set/get; counts
-        // are charged separately via bulk_loads/bulk_stores.
+        // are charged separately via bulk_loads/count_stores.
         for prec in [Precision::Double, Precision::Single, Precision::Half] {
             let run = run_case([prec, prec, Precision::Double], false, |ctx, [a, _, _]| {
                 let mut v = MpVec::from_values(ctx, a, &seeded(N, 16));
                 let mut out = Vec::new();
                 v.bulk_loads(ctx, N as u64);
-                v.bulk_stores(ctx, N as u64);
+                ctx.count_stores(prec, N as u64);
                 for i in 0..N {
                     let t = v.raw()[i];
                     out.push(v.write_rounded(i, t * 1.7 + 0.01));

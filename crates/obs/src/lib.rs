@@ -18,7 +18,11 @@
 //!   histograms, lock-sharded like the harness's `SharedEvalCache`;
 //! * **sinks**: an append-only JSONL trace writer (same torn-line-tolerant
 //!   line-per-record family as the harness checkpoint journal) and an
-//!   in-memory buffer for tests and report rendering.
+//!   in-memory buffer for tests and report rendering;
+//! * [`json`], the workspace's one JSON codec: the trace writer escapes
+//!   through it, and the harness's interchange documents, journals, trace
+//!   summariser, the campaign service's protocol and the bench summaries
+//!   all read and write through it.
 //!
 //! The default handle is [`Obs::noop`]: a `None` inside, so every
 //! instrumentation call is a single branch and the instrumented code path
@@ -40,10 +44,10 @@
 //! ```
 
 pub mod clock;
+pub mod json;
 pub mod metrics;
 pub mod sink;
 pub mod trace;
 
 pub use metrics::{HistogramSnapshot, MetricsSnapshot, BUCKET_BOUNDS, DURATION_BOUNDS_US};
-pub use sink::{parse_trace_line, Scalar};
 pub use trace::{Field, Obs, ObsBuilder, SpanGuard, Value};

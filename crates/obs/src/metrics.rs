@@ -87,10 +87,10 @@ pub(crate) struct Registry {
     shards: Vec<Mutex<HashMap<String, Metric>>>,
 }
 
-/// Mutex recovery: a poisoned metrics shard only means some other thread
-/// panicked mid-update; the map itself is still structurally sound and
-/// observability must never take the campaign down with it.
-fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// Mutex recovery: a poisoned metrics shard or sink only means some other
+/// thread panicked mid-update; the data itself is still structurally sound
+/// and observability must never take the campaign down with it.
+pub(crate) fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
@@ -115,21 +115,19 @@ impl Registry {
     /// guard discipline.
     pub(crate) fn counter_add(&self, name: &str, n: u64) {
         let mut shard = lock_recovering(self.shard(name));
-        match shard.entry(name.to_string()).or_insert(Metric::Counter(0)) {
-            Metric::Counter(v) => *v += n,
-            _ => {}
+        if let Metric::Counter(v) = shard.entry(name.to_string()).or_insert(Metric::Counter(0)) {
+            *v += n
         }
     }
 
     /// Sets a gauge to the given value (last write wins).
     pub(crate) fn gauge_set(&self, name: &str, value: f64) {
         let mut shard = lock_recovering(self.shard(name));
-        match shard
+        if let Metric::Gauge(v) = shard
             .entry(name.to_string())
             .or_insert(Metric::Gauge(value))
         {
-            Metric::Gauge(v) => *v = value,
-            _ => {}
+            *v = value
         }
     }
 
@@ -146,12 +144,11 @@ impl Registry {
     /// caller with a stale list cannot fork the series.
     pub(crate) fn observe_with_bounds(&self, name: &str, value: u64, bounds: &[u64]) {
         let mut shard = lock_recovering(self.shard(name));
-        match shard
+        if let Metric::Histogram(h) = shard
             .entry(name.to_string())
             .or_insert_with(|| Metric::Histogram(Histo::with_bounds(bounds)))
         {
-            Metric::Histogram(h) => h.observe(value),
-            _ => {}
+            h.observe(value)
         }
     }
 

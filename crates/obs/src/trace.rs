@@ -12,8 +12,10 @@
 //! observability on or off (property-tested in the harness).
 
 use crate::clock::WallClock;
-use crate::metrics::{MetricsSnapshot, Registry};
-use crate::sink::{escape, Sink};
+use crate::json::write_string;
+use crate::metrics::{lock_recovering, MetricsSnapshot, Registry};
+use crate::sink::{ForwardFn, Sink};
+use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -71,36 +73,42 @@ impl ObsInner {
         name: &str,
         fields: &[Field],
     ) {
+        // One buffer per record; `write!` into a `String` cannot fail.
         let mut line = String::with_capacity(64 + fields.len() * 16);
-        line.push_str(&format!("{{\"seq\":{seq},\"t\":\"{kind}\""));
+        let _ = write!(line, "{{\"seq\":{seq},\"t\":\"{kind}\"");
         if let Some(id) = id {
-            line.push_str(&format!(",\"id\":{id}"));
+            let _ = write!(line, ",\"id\":{id}");
         }
         if let Some(parent) = parent {
-            line.push_str(&format!(",\"parent\":{parent}"));
+            let _ = write!(line, ",\"parent\":{parent}");
         }
-        line.push_str(&format!(",\"name\":\"{}\"", escape(name)));
+        line.push_str(",\"name\":");
+        write_string(&mut line, name);
         if let Some(clock) = &self.clock {
-            line.push_str(&format!(",\"wall_us\":{}", clock.micros()));
+            let _ = write!(line, ",\"wall_us\":{}", clock.micros());
         }
         for (key, value) in fields {
-            line.push_str(&format!(",\"{}\":", escape(key)));
+            line.push(',');
+            write_string(&mut line, key);
+            line.push(':');
             match value {
-                Value::U64(v) => line.push_str(&v.to_string()),
-                Value::I64(v) => line.push_str(&v.to_string()),
-                Value::F64(v) if v.is_finite() => line.push_str(&v.to_string()),
+                Value::U64(v) => {
+                    let _ = write!(line, "{v}");
+                }
+                Value::I64(v) => {
+                    let _ = write!(line, "{v}");
+                }
+                Value::F64(v) if v.is_finite() => {
+                    let _ = write!(line, "{v}");
+                }
                 Value::F64(_) => line.push_str("null"),
-                Value::Str(s) => line.push_str(&format!("\"{}\"", escape(s))),
-                Value::S(s) => line.push_str(&format!("\"{}\"", escape(s))),
+                Value::Str(s) => write_string(&mut line, s),
+                Value::S(s) => write_string(&mut line, s),
                 Value::Bool(b) => line.push_str(if *b { "true" } else { "false" }),
             }
         }
         line.push('}');
-        let mut sink = self
-            .sink
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        sink.write_line(&line);
+        lock_recovering(&self.sink).write_line(&line);
     }
 }
 
@@ -232,11 +240,7 @@ impl Obs {
     /// and the noop handle).
     pub fn trace_lines(&self) -> Vec<String> {
         match &self.inner {
-            Some(inner) => inner
-                .sink
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .lines(),
+            Some(inner) => lock_recovering(&inner.sink).lines(),
             None => Vec::new(),
         }
     }
@@ -287,7 +291,7 @@ pub struct ObsBuilder {
     trace_path: Option<PathBuf>,
     memory: bool,
     wall_clock: bool,
-    forward: Option<Box<dyn Fn(&str) + Send>>,
+    forward: Option<ForwardFn>,
 }
 
 impl std::fmt::Debug for ObsBuilder {
@@ -365,11 +369,7 @@ impl ObsBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::{parse_trace_line, Scalar};
-
-    fn get<'a>(fields: &'a [(String, Scalar)], key: &str) -> Option<&'a Scalar> {
-        fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
+    use crate::json::{parse, Json};
 
     #[test]
     fn noop_handle_does_nothing_observable() {
@@ -392,13 +392,13 @@ mod tests {
         span.end_with(&[("passed", Value::Bool(false))]);
         let lines = obs.trace_lines();
         assert_eq!(lines.len(), 3);
-        let start = parse_trace_line(&lines[0]).expect("start parses");
-        let end = parse_trace_line(&lines[2]).expect("end parses");
-        assert_eq!(get(&start, "t"), Some(&Scalar::Str("span".into())));
-        assert_eq!(get(&end, "t"), Some(&Scalar::Str("end".into())));
-        assert_eq!(get(&start, "seq"), get(&start, "id"));
-        assert_eq!(get(&end, "id"), get(&start, "seq"));
-        assert_eq!(get(&end, "passed"), Some(&Scalar::Bool(false)));
+        let start = parse(&lines[0]).expect("start parses");
+        let end = parse(&lines[2]).expect("end parses");
+        assert_eq!(start.get("t"), Some(&Json::String("span".into())));
+        assert_eq!(end.get("t"), Some(&Json::String("end".into())));
+        assert_eq!(start.get("seq"), start.get("id"));
+        assert_eq!(end.get("id"), start.get("seq"));
+        assert_eq!(end.get("passed"), Some(&Json::Bool(false)));
     }
 
     #[test]
@@ -406,10 +406,10 @@ mod tests {
         let obs = Obs::in_memory();
         let job = obs.span("job", &[]);
         let eval = obs.span_with_parent("eval", job.id(), &[]);
-        let child_start = parse_trace_line(&obs.trace_lines()[1]).expect("parses");
+        let child_start = parse(&obs.trace_lines()[1]).expect("parses");
         assert_eq!(
-            get(&child_start, "parent"),
-            Some(&Scalar::Num(
+            child_start.get("parent"),
+            Some(&Json::Number(
                 job.id().expect("enabled span has an id") as f64
             ))
         );
@@ -439,8 +439,8 @@ mod tests {
         }
         let lines = obs.trace_lines();
         assert_eq!(lines.len(), 2);
-        let end = parse_trace_line(&lines[1]).expect("parses");
-        assert_eq!(get(&end, "t"), Some(&Scalar::Str("end".into())));
+        let end = parse(&lines[1]).expect("parses");
+        assert_eq!(end.get("t"), Some(&Json::String("end".into())));
     }
 
     #[test]
@@ -452,12 +452,10 @@ mod tests {
         let seqs: Vec<f64> = obs
             .trace_lines()
             .iter()
-            .map(
-                |l| match get(&parse_trace_line(l).expect("parses"), "seq") {
-                    Some(Scalar::Num(n)) => *n,
-                    other => panic!("bad seq {other:?}"),
-                },
-            )
+            .map(|l| match parse(l).expect("parses").get("seq") {
+                Some(Json::Number(n)) => *n,
+                other => panic!("bad seq {other:?}"),
+            })
             .collect();
         assert_eq!(seqs, [0.0, 1.0, 2.0, 3.0, 4.0]);
         // No wall clock requested → no wall_us field anywhere.
@@ -474,8 +472,8 @@ mod tests {
             .build_in_memory();
         obs.event("tick", &[]);
         let line = &obs.trace_lines()[0];
-        let fields = parse_trace_line(line).expect("parses");
-        assert!(matches!(get(&fields, "wall_us"), Some(Scalar::Num(_))));
+        let fields = parse(line).expect("parses");
+        assert!(matches!(fields.get("wall_us"), Some(Json::Number(_))));
     }
 
     #[test]
@@ -493,14 +491,14 @@ mod tests {
                 ("b", Value::Bool(true)),
             ],
         );
-        let fields = parse_trace_line(&obs.trace_lines()[0]).expect("parses");
-        assert_eq!(get(&fields, "u"), Some(&Scalar::Num(7.0)));
-        assert_eq!(get(&fields, "i"), Some(&Scalar::Num(-2.0)));
-        assert_eq!(get(&fields, "f"), Some(&Scalar::Num(1.25)));
-        assert_eq!(get(&fields, "bad"), Some(&Scalar::Null));
-        assert_eq!(get(&fields, "s"), Some(&Scalar::Str("lit\"eral".into())));
-        assert_eq!(get(&fields, "o"), Some(&Scalar::Str("owned".into())));
-        assert_eq!(get(&fields, "b"), Some(&Scalar::Bool(true)));
+        let fields = parse(&obs.trace_lines()[0]).expect("parses");
+        assert_eq!(fields.get("u"), Some(&Json::Number(7.0)));
+        assert_eq!(fields.get("i"), Some(&Json::Number(-2.0)));
+        assert_eq!(fields.get("f"), Some(&Json::Number(1.25)));
+        assert_eq!(fields.get("bad"), Some(&Json::Null));
+        assert_eq!(fields.get("s"), Some(&Json::String("lit\"eral".into())));
+        assert_eq!(fields.get("o"), Some(&Json::String("owned".into())));
+        assert_eq!(fields.get("b"), Some(&Json::Bool(true)));
     }
 
     #[test]
@@ -517,7 +515,7 @@ mod tests {
         assert_eq!(lines.len(), 3, "event + span start + span end");
         assert!(lines[0].contains("\"tick\""));
         for line in lines.iter() {
-            assert!(parse_trace_line(line).is_some(), "forwarded line parses");
+            assert!(parse(line).is_ok(), "forwarded line parses");
         }
         // The forward sink buffers nothing itself.
         assert!(obs.trace_lines().is_empty());

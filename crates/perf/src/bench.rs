@@ -33,6 +33,7 @@
 
 pub use std::hint::black_box;
 
+use mixp_obs::json::Json;
 use std::time::{Duration, Instant};
 
 /// A named group of benchmarks sharing warmup/sample settings.
@@ -49,7 +50,7 @@ impl BenchGroup {
     /// Creates a group with the defaults: 20 samples, 300 ms warmup,
     /// 2 s measurement budget.
     pub fn new(name: impl Into<String>) -> Self {
-        let quick = std::env::var("MIXP_BENCH_QUICK").map_or(false, |v| v != "0");
+        let quick = std::env::var("MIXP_BENCH_QUICK").is_ok_and(|v| v != "0");
         BenchGroup {
             name: name.into(),
             sample_size: 20,
@@ -128,46 +129,37 @@ impl BenchGroup {
     /// The group's summary in the committed-baseline JSON format.
     fn to_json(&self) -> String {
         let host = std::thread::available_parallelism().map_or(0, |n| n.get());
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"bench\": \"{}\",\n", escape_json(&self.name)));
-        out.push_str(&format!(
-            "  \"source\": \"cargo bench --offline --bench bench_{}\",\n",
-            escape_json(&self.name)
-        ));
-        out.push_str(&format!("  \"host_parallelism\": {host},\n"));
-        out.push_str("  \"results\": [\n");
-        for (i, (id, stats)) in self.results.iter().enumerate() {
-            let sep = if i + 1 < self.results.len() { "," } else { "" };
-            out.push_str(&format!(
-                "    {{ \"id\": \"{}\", \"median_ms\": {}, \"p10_ms\": {}, \"p90_ms\": {}, \"samples\": {} }}{sep}\n",
-                escape_json(id),
-                fmt_ms(stats.median),
-                fmt_ms(stats.p10),
-                fmt_ms(stats.p90),
-                stats.n
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let field = |key: &str, value: Json| (key.to_string(), value);
+        let results = self
+            .results
+            .iter()
+            .map(|(id, stats)| {
+                Json::Object(vec![
+                    field("id", Json::String(id.clone())),
+                    field("median_ms", ms(stats.median)),
+                    field("p10_ms", ms(stats.p10)),
+                    field("p90_ms", ms(stats.p90)),
+                    field("samples", Json::Number(stats.n as f64)),
+                ])
+            })
+            .collect();
+        let doc = Json::Object(vec![
+            field("bench", Json::String(self.name.clone())),
+            field(
+                "source",
+                Json::String(format!("cargo bench --offline --bench bench_{}", self.name)),
+            ),
+            field("host_parallelism", Json::Number(host as f64)),
+            field("results", Json::Array(results)),
+        ]);
+        doc.pretty() + "\n"
     }
 }
 
-/// Milliseconds with enough digits to stay meaningful for sub-ms runs.
-fn fmt_ms(d: Duration) -> String {
-    format!("{:.4}", d.as_secs_f64() * 1e3)
-}
-
-/// Minimal JSON string escaping for names this harness generates.
-fn escape_json(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if c.is_control() => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
+/// Milliseconds rounded to 4 decimals, enough to stay meaningful for
+/// sub-ms runs.
+fn ms(d: Duration) -> Json {
+    Json::Number((d.as_secs_f64() * 1e7).round() / 1e4)
 }
 
 /// Times a single benchmark routine; handed to the
@@ -306,21 +298,43 @@ mod tests {
             "slow".to_string(),
             Stats::from_samples(&[Duration::from_millis(20), Duration::from_millis(30)]),
         ));
-        let json = group.to_json();
+        let doc = mixp_obs::json::parse(&group.to_json()).expect("summary parses");
         let host = std::thread::available_parallelism().map_or(0, |n| n.get());
-        assert!(json.contains(&format!("\"host_parallelism\": {host}")));
-        assert!(json.contains("\"bench\": \"unit\""));
-        assert!(json.contains("\"id\": \"fast\", \"median_ms\": 1.5000"));
-        assert!(json.contains("\"samples\": 2"));
-        // Exactly one separator comma between the two result rows.
-        assert_eq!(json.matches("},\n").count(), 1);
+        assert_eq!(
+            doc.get("host_parallelism").and_then(Json::as_f64),
+            Some(host as f64)
+        );
+        assert_eq!(doc.get("bench").and_then(Json::as_str), Some("unit"));
+        let results = doc
+            .get("results")
+            .and_then(Json::as_array)
+            .expect("results");
+        assert_eq!(results.len(), 2);
+        assert_eq!(results[0].get("id").and_then(Json::as_str), Some("fast"));
+        assert_eq!(results[0].get("median_ms"), Some(&Json::Number(1.5)));
+        assert_eq!(results[1].get("samples"), Some(&Json::Number(2.0)));
+        let keys: Vec<&str> = match &results[1] {
+            Json::Object(members) => members.iter().map(|(k, _)| k.as_str()).collect(),
+            other => panic!("result row is not an object: {other:?}"),
+        };
+        assert_eq!(keys, ["id", "median_ms", "p10_ms", "p90_ms", "samples"]);
     }
 
     #[test]
     fn json_escaping_handles_quotes_and_controls() {
-        assert_eq!(escape_json("plain"), "plain");
-        assert_eq!(escape_json("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(escape_json("x\ny"), "x\\u000ay");
+        let mut group = BenchGroup::new("a\"b\\c\ny");
+        group.results.push((
+            "id\t\"x\"".to_string(),
+            Stats::from_samples(&[Duration::from_nanos(123_456)]),
+        ));
+        let doc = mixp_obs::json::parse(&group.to_json()).expect("summary parses");
+        assert_eq!(doc.get("bench").and_then(Json::as_str), Some("a\"b\\c\ny"));
+        let row = &doc
+            .get("results")
+            .and_then(Json::as_array)
+            .expect("results")[0];
+        assert_eq!(row.get("id").and_then(Json::as_str), Some("id\t\"x\""));
+        assert_eq!(row.get("median_ms"), Some(&Json::Number(0.1235)));
     }
 
     #[test]

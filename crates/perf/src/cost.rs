@@ -75,7 +75,7 @@ impl CostModel {
     /// corrupted model must surface as a non-finite value the harness can
     /// classify, never as a plausible-looking cost.
     pub fn cost(&self, counts: &OpCounts, cache: Option<&CacheStats>) -> f64 {
-        if cache.map_or(false, |s| s.poisoned) {
+        if cache.is_some_and(|s| s.poisoned) {
             return f64::NAN;
         }
         let compute = counts.flops_f64 as f64 * self.f64_flop

@@ -538,8 +538,8 @@ fn run_wave(shared: &Arc<Shared>, wave: &[WaveCell]) {
             })
             .collect()
     };
-    let slots: Vec<Mutex<Option<(u32, Result<mixp_harness::JobResult, mixp_harness::JobError>)>>> =
-        work.iter().map(|_| Mutex::new(None)).collect();
+    // One slot per cell: (attempts, outcome), filled by the cell's worker.
+    let slots: Vec<Mutex<Option<_>>> = work.iter().map(|_| Mutex::new(None)).collect();
     let pool = &shared.pool;
     pool.run_batch(work.len(), |i| {
         let item = &work[i];

@@ -12,7 +12,7 @@ use mixp_serve::protocol::{FaultSpec, SubmitOptions};
 use mixp_serve::{Client, DaemonConfig, DaemonHandle, ServeConfig};
 use std::io::Write;
 use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 fn arena(tag: &str) -> PathBuf {
@@ -22,7 +22,7 @@ fn arena(tag: &str) -> PathBuf {
     dir
 }
 
-fn start(dir: &PathBuf, serve: ServeConfig) -> DaemonHandle {
+fn start(dir: &Path, serve: ServeConfig) -> DaemonHandle {
     DaemonHandle::start(DaemonConfig {
         socket: dir.join("serve.sock"),
         state_dir: dir.join("state"),
@@ -31,7 +31,7 @@ fn start(dir: &PathBuf, serve: ServeConfig) -> DaemonHandle {
     .expect("daemon start")
 }
 
-fn connect(dir: &PathBuf) -> Client {
+fn connect(dir: &Path) -> Client {
     Client::connect_within(&dir.join("serve.sock"), Duration::from_secs(10)).expect("connect")
 }
 
@@ -146,8 +146,10 @@ fn faulted_and_retried_campaign_matches_direct_run() {
     // Job 0 panics on its first attempt and heals on retry; job 1 is
     // permanently NaN-poisoned and must fail with a typed code.
     let jobs = vec![job("tridiag", "DD", 6), job("innerprod", "DD", 6)];
-    let mut options = SubmitOptions::default();
-    options.retries = Some(2);
+    let mut options = SubmitOptions {
+        retries: Some(2),
+        ..SubmitOptions::default()
+    };
     options.faults.push(FaultSpec {
         job: 0,
         fault: Fault::Panic { at_eval: 0 },
@@ -213,9 +215,11 @@ fn garbage_lines_get_typed_errors_and_never_kill_the_daemon() {
 #[test]
 fn admission_control_enforces_quota_depth_and_idempotency() {
     let dir = arena("admission");
-    let mut serve = ServeConfig::default();
-    serve.queue_depth = 2;
-    serve.workers = 1;
+    let mut serve = ServeConfig {
+        queue_depth: 2,
+        workers: 1,
+        ..ServeConfig::default()
+    };
     serve.quotas.push(("cheap".to_string(), 10));
     let daemon = start(&dir, serve);
     let mut client = connect(&dir);
@@ -272,8 +276,11 @@ fn admission_control_enforces_quota_depth_and_idempotency() {
 #[test]
 fn cancel_skips_pending_cells() {
     let dir = arena("cancel");
-    let mut serve = ServeConfig::default();
-    serve.workers = 1; // serialize so the victim is still queued
+    // One worker serializes the cells, so the victim is still queued.
+    let serve = ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    };
     let daemon = start(&dir, serve);
     let mut client = connect(&dir);
     let mut slow = SubmitOptions::default();
@@ -355,8 +362,10 @@ fn subscribe_streams_progress_records_until_done_trailer() {
 #[test]
 fn concurrent_clients_all_reach_terminal_states() {
     let dir = arena("concurrent");
-    let mut serve = ServeConfig::default();
-    serve.workers = 2;
+    let serve = ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    };
     let daemon = start(&dir, serve);
     let benchmarks = ["tridiag", "innerprod", "eos", "hydro-1d"];
     std::thread::scope(|scope| {

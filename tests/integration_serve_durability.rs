@@ -150,8 +150,10 @@ fn sigkill_mid_campaign_resumes_with_identical_outcomes() {
     // Plus a fast campaign with a heal-on-retry fault, to cross-check the
     // restart does not grant killed cells extra attempts.
     let retry_jobs = vec![job("hydro-1d", "DD", 5)];
-    let mut retry = SubmitOptions::default();
-    retry.retries = Some(2);
+    let mut retry = SubmitOptions {
+        retries: Some(2),
+        ..SubmitOptions::default()
+    };
     retry.faults.push(FaultSpec {
         job: 0,
         fault: Fault::Panic { at_eval: 0 },
