@@ -1,6 +1,6 @@
 //! The workspace's one JSON codec, [`mixp_core::obs::json`], re-exported
-//! under its historical path for the interchange format
-//! ([`crate::interchange`]), the journals and the campaign service.
+//! for the interchange format ([`crate::interchange`]), the journals and
+//! the crates built on the harness (the campaign service, the examples).
 //!
 //! The codec lives in the dependency-free `mixp-obs` crate so the trace
 //! writer can share it; its generated-input property tests live here,
