@@ -761,3 +761,161 @@ fn stream_memo_is_bit_identical_to_run_config() {
         }
     });
 }
+
+/// FNV-1a over the little-endian bytes of `words`, continuing from `h`.
+fn fnv1a(mut h: u64, words: impl IntoIterator<Item = u64>) -> u64 {
+    for w in words {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// The semantic pin of every benchmark's one definition: output bits,
+/// operation counts and cache statistics from `run_config`, under
+/// all-double, all-single, all-half and three seeded three-way mixes,
+/// folded into one FNV-1a digest per (benchmark, scale). All 17
+/// benchmarks run at small scale; the 11 IR-ported ones also run at
+/// paper scale. Any change to a benchmark's numerics, accounting or
+/// access stream changes its digest.
+#[test]
+fn benchmark_outputs_match_golden_digests() {
+    use mixp_core::perf::CacheParams;
+    use mixp_core::perf::CacheStats;
+    use mixp_core::{run_config, OpCounts, Precision};
+
+    const GOLDEN: &[(&str, &str, u64)] = &[
+        ("banded-lin-eq", "small", 0x9be0fbd4e8288038),
+        ("diff-predictor", "small", 0xc74d60215b6306d8),
+        ("eos", "small", 0xcab37cb2a9b1d600),
+        ("gen-lin-recur", "small", 0xbbc44b8143fe2062),
+        ("hydro-1d", "small", 0x1db24dc428ff7143),
+        ("iccg", "small", 0xf798bdc67eb21630),
+        ("innerprod", "small", 0x79f04c3eaa2e5106),
+        ("int-predict", "small", 0x99dbb03ab7c4bee5),
+        ("planckian", "small", 0x3be14fb23ca1c03a),
+        ("tridiag", "small", 0x54bf163d4dc11590),
+        ("blackscholes", "small", 0x62013b513a6bbe05),
+        ("cfd", "small", 0x6f8f9d2195d64539),
+        ("hotspot", "small", 0xa71811d704ace317),
+        ("hpccg", "small", 0x364f2a1e93f276ad),
+        ("kmeans", "small", 0x91e02aea13dffc60),
+        ("lavamd", "small", 0x40da5ff71d3484fa),
+        ("srad", "small", 0x2b7a3489d601a9a4),
+        ("banded-lin-eq", "paper", 0x5f764e9290167d6c),
+        ("diff-predictor", "paper", 0x10425e2439747ab8),
+        ("eos", "paper", 0x4e556aefcfc9c28d),
+        ("gen-lin-recur", "paper", 0xc0cd063493e72c52),
+        ("hydro-1d", "paper", 0x6fd10d6cc2b8aac5),
+        ("iccg", "paper", 0x07d9d464d0938e51),
+        ("innerprod", "paper", 0xee5bcd95142ade8f),
+        ("int-predict", "paper", 0xeaebe0f6a0be12d2),
+        ("planckian", "paper", 0x2759e2bd5518ded8),
+        ("tridiag", "paper", 0x2c5c4e376cbe5ed4),
+        ("hotspot", "paper", 0x8f81b25299e81acb),
+    ];
+
+    fn configs(pm: &ProgramModel) -> Vec<PrecisionConfig> {
+        let mut half = pm.config_all_double();
+        for v in pm.tunable_vars() {
+            half.set(v, Precision::Half);
+        }
+        let mut cfgs = vec![pm.config_all_double(), pm.config_all_single(), half];
+        for seed in [1u64, 7, 1234] {
+            let mut cfg = pm.config_all_double();
+            let mut rng = SplitMix64::new(seed);
+            for v in pm.tunable_vars() {
+                match rng.next_range(3) {
+                    0 => {}
+                    1 => cfg.set(v, Precision::Single),
+                    _ => cfg.set(v, Precision::Half),
+                }
+            }
+            cfgs.push(cfg);
+        }
+        cfgs
+    }
+
+    fn digest(bench: &dyn Benchmark) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        for cfg in configs(bench.program()) {
+            let (out, counts, stats) = run_config(bench, &cfg, CacheParams::default());
+            let OpCounts {
+                flops_f16,
+                flops_f32,
+                flops_f64,
+                heavy_f16,
+                heavy_f32,
+                heavy_f64,
+                casts,
+                loads_f16,
+                loads_f32,
+                loads_f64,
+                stores_f16,
+                stores_f32,
+                stores_f64,
+            } = counts;
+            let CacheStats {
+                accesses,
+                l1_hits,
+                l2_hits,
+                misses,
+                writebacks,
+                poisoned,
+            } = stats;
+            h = fnv1a(h, [out.len() as u64]);
+            h = fnv1a(h, out.iter().map(|v| v.to_bits()));
+            h = fnv1a(
+                h,
+                [
+                    flops_f16, flops_f32, flops_f64, heavy_f16, heavy_f32, heavy_f64, casts,
+                    loads_f16, loads_f32, loads_f64, stores_f16, stores_f32, stores_f64,
+                ],
+            );
+            h = fnv1a(
+                h,
+                [
+                    accesses,
+                    l1_hits,
+                    l2_hits,
+                    misses,
+                    writebacks,
+                    poisoned as u64,
+                ],
+            );
+        }
+        h
+    }
+
+    let mut benches: Vec<(&str, Box<dyn Benchmark>)> = Vec::new();
+    for b in mixp_kernels::all_kernels_small() {
+        benches.push(("small", b));
+    }
+    for b in mixp_apps::all_applications_small() {
+        benches.push(("small", b));
+    }
+    for b in mixp_kernels::all_kernels() {
+        benches.push(("paper", b));
+    }
+    benches.push(("paper", Box::new(mixp_apps::Hotspot::new())));
+
+    let got: Vec<(String, &str, u64)> = benches
+        .iter()
+        .map(|(scale, b)| (b.name().to_string(), *scale, digest(b.as_ref())))
+        .collect();
+    let table: String = got
+        .iter()
+        .map(|(name, scale, d)| format!("        (\"{name}\", \"{scale}\", {d:#018x}),\n"))
+        .collect();
+    assert_eq!(got.len(), GOLDEN.len(), "digest table:\n{table}");
+    for ((name, scale, d), &(gname, gscale, gd)) in got.iter().zip(GOLDEN) {
+        assert_eq!(
+            (name.as_str(), *scale),
+            (gname, gscale),
+            "digest table:\n{table}"
+        );
+        assert_eq!(*d, gd, "{name} ({scale}) digest changed; table:\n{table}");
+    }
+}
