@@ -288,16 +288,25 @@ impl<'a> Parser<'a> {
                 Some(b'b') => out.push('\u{8}'),
                 Some(b'f') => out.push('\u{c}'),
                 Some(b'u') => {
-                    let code = self
-                        .bytes
-                        .get(self.pos + 1..self.pos + 5)
-                        .and_then(|hex| std::str::from_utf8(hex).ok())
-                        .and_then(|hex| u32::from_str_radix(hex, 16).ok())
-                        .ok_or_else(|| JsonError {
-                            offset: self.pos,
-                            message: "bad \\u escape".to_string(),
-                        })?;
-                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                    let code = self.hex4(self.pos + 1)?;
+                    let c = match code {
+                        0xd800..=0xdbff => {
+                            // A high surrogate must pair with a low one:
+                            // together they encode one non-BMP char.
+                            if self.bytes.get(self.pos + 5..self.pos + 7) != Some(b"\\u") {
+                                return self.err("unpaired surrogate in \\u escape");
+                            }
+                            let low = self.hex4(self.pos + 7)?;
+                            if !(0xdc00..=0xdfff).contains(&low) {
+                                return self.err("unpaired surrogate in \\u escape");
+                            }
+                            self.pos += 6;
+                            0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00)
+                        }
+                        0xdc00..=0xdfff => return self.err("unpaired surrogate in \\u escape"),
+                        _ => code,
+                    };
+                    out.push(char::from_u32(c).expect("surrogates were handled above"));
                     self.pos += 4;
                 }
                 _ => return self.err("bad escape"),
@@ -306,20 +315,62 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// The four hex digits of a `\u` escape starting at byte `at` (no
+    /// sign, no shorter form).
+    fn hex4(&self, at: usize) -> Result<u32, JsonError> {
+        match self.bytes.get(at..at + 4) {
+            Some(hex) if hex.iter().all(u8::is_ascii_hexdigit) => Ok(hex
+                .iter()
+                .fold(0, |acc, &h| acc * 16 + (h as char).to_digit(16).unwrap())),
+            _ => Err(JsonError {
+                offset: at,
+                message: "bad \\u escape".to_string(),
+            }),
+        }
+    }
+
+    /// Skips a run of ASCII digits, returning how many there were.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// A number by the RFC 8259 grammar
+    /// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`.
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
+        match self.peek() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => {
+                self.digits();
+            }
+            _ => return self.err("expected a digit"),
+        }
+        if self.peek() == Some(b'.') {
             self.pos += 1;
+            if self.digits() == 0 {
+                return self.err("expected a digit after `.`");
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if self.digits() == 0 {
+                return self.err("expected a digit in the exponent");
+            }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        match text.parse::<f64>() {
-            Ok(n) => Ok(Json::Number(n)),
-            Err(_) => self.err(format!("malformed number `{text}`")),
-        }
+        Ok(Json::Number(
+            text.parse().expect("the grammar is a subset of f64's"),
+        ))
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -465,6 +516,59 @@ mod tests {
             parse("\"\\u0041\\u00e9\"").unwrap(),
             Json::String("Aé".to_string())
         );
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_char() {
+        assert_eq!(
+            parse(r#""a\ud83d\ude00b""#).unwrap(),
+            Json::String("a\u{1f600}b".to_string())
+        );
+        assert_eq!(
+            parse(r#""\uD834\uDD1E""#).unwrap(),
+            Json::String("\u{1d11e}".to_string())
+        );
+    }
+
+    #[test]
+    fn lone_surrogates_and_signed_hex_are_rejected() {
+        for (text, offset) in [
+            (r#""\ud83d""#, 2),
+            (r#""\ud83dx""#, 2),
+            (r#""\ud83d\u0041""#, 2),
+            (r#""\ude00""#, 2),
+            (r#""\u+041""#, 3),
+            (r#""\u-041""#, 3),
+            (r#""\u12""#, 3),
+            (r#""\ud83d\u+e00""#, 9),
+        ] {
+            let err = parse(text).unwrap_err();
+            assert_eq!(err.offset, offset, "{text}: {err}");
+        }
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_grammar() {
+        for (text, value) in [
+            ("0", 0.0),
+            ("-0", -0.0),
+            ("10", 10.0),
+            ("0.5", 0.5),
+            ("-12.25e-2", -0.1225),
+            ("1E+2", 100.0),
+            ("2e0", 2.0),
+            ("0e5", 0.0),
+        ] {
+            assert_eq!(parse(text).unwrap(), Json::Number(value), "{text}");
+        }
+        for text in [
+            "01", "-01", "1.", "-.5", ".5", "1e", "1e+", "1.e3", "+1", "-", "--1", "1.2.3", "0x10",
+            "1e2.5", "[01]",
+        ] {
+            assert!(parse(text).is_err(), "{text} must be rejected");
+        }
+        let err = parse("[1.]").unwrap_err();
+        assert_eq!((err.offset, err.message.contains("after `.`")), (3, true));
     }
 
     #[test]
