@@ -147,12 +147,33 @@ impl BenchGroup {
             field("bench", Json::String(self.name.clone())),
             field(
                 "source",
-                Json::String(format!("cargo bench --offline --bench bench_{}", self.name)),
+                Json::String(format!("cargo bench --offline --bench {}", self.target())),
             ),
             field("host_parallelism", Json::Number(host as f64)),
             field("results", Json::Array(results)),
         ]);
         doc.pretty() + "\n"
+    }
+
+    /// The bench target this group runs in: the running executable's name
+    /// without cargo's `-<hash>` suffix (a group's name need not match its
+    /// target's), or `bench_<group>` when the executable is unknown.
+    fn target(&self) -> String {
+        std::env::current_exe()
+            .ok()
+            .and_then(|exe| Some(strip_cargo_hash(exe.file_stem()?.to_str()?).to_string()))
+            .unwrap_or_else(|| format!("bench_{}", self.name))
+    }
+}
+
+/// `name` without the `-<16 hex digits>` suffix cargo appends to the
+/// executables it builds under `target/*/deps`.
+fn strip_cargo_hash(stem: &str) -> &str {
+    match stem.rsplit_once('-') {
+        Some((target, hash)) if hash.len() == 16 && hash.bytes().all(|b| b.is_ascii_hexdigit()) => {
+            target
+        }
+        _ => stem,
     }
 }
 
@@ -260,6 +281,28 @@ mod tests {
         assert_eq!(s.median, Duration::from_micros(51));
         assert_eq!(s.p10, Duration::from_micros(11));
         assert_eq!(s.p90, Duration::from_micros(90));
+    }
+
+    #[test]
+    fn cargo_hash_suffix_is_stripped() {
+        assert_eq!(
+            strip_cargo_hash("bench_apps_search-0123456789abcdef"),
+            "bench_apps_search"
+        );
+        assert_eq!(
+            strip_cargo_hash("bench-ir-plan-F00DFACE12345678"),
+            "bench-ir-plan"
+        );
+        assert_eq!(strip_cargo_hash("bench_ir_plan"), "bench_ir_plan");
+        assert_eq!(strip_cargo_hash("bench_ir-plan"), "bench_ir-plan");
+        assert_eq!(
+            strip_cargo_hash("bench-0123456789abcdeg"),
+            "bench-0123456789abcdeg"
+        );
+        assert_eq!(
+            strip_cargo_hash("bench-0123456789abcde"),
+            "bench-0123456789abcde"
+        );
     }
 
     #[test]
