@@ -1,45 +1,8 @@
 //! HotSpot — Rodinia thermal simulation.
 
-use crate::common::{rng, vid, InputFile};
-use mixp_core::{
-    Benchmark, BenchmarkKind, ExecCtx, MetricKind, ProgramBuilder, ProgramModel, VarId,
-};
-use mixp_float::{MpScalar, MpVec, StreamGroup};
+use crate::common::{rng, vid};
+use mixp_core::{Benchmark, BenchmarkKind, MetricKind, ProgramBuilder, ProgramModel};
 use mixp_ir::{Expr, Sweep};
-
-/// Declares one row segment's stencil streams in the per-cell evaluation
-/// order: centre, north/south (when the row has them), west/east (when the
-/// segment has them), power, and the result store.
-#[allow(clippy::too_many_arguments)]
-fn declare_stencil(
-    g: &mut StreamGroup,
-    temp: &MpVec,
-    power: &MpVec,
-    result: &MpVec,
-    base: usize,
-    cols: usize,
-    r: usize,
-    rows: usize,
-    west: bool,
-    east: bool,
-) {
-    g.clear();
-    g.load(temp, base);
-    if r > 0 {
-        g.load(temp, base - cols);
-    }
-    if r + 1 < rows {
-        g.load(temp, base + cols);
-    }
-    if west {
-        g.load(temp, base - 1);
-    }
-    if east {
-        g.load(temp, base + 1);
-    }
-    g.load(power, base);
-    g.store(result, base);
-}
 
 /// HotSpot (§III-B): estimates processor temperature from an architectural
 /// floor plan and simulated power measurements by iteratively solving the
@@ -62,28 +25,7 @@ fn declare_stencil(
 #[derive(Debug, Clone)]
 pub struct Hotspot {
     program: ProgramModel,
-    v: Vars,
-    rows: usize,
-    cols: usize,
-    iterations: usize,
-    power_file: InputFile,
-    temp_file: InputFile,
     ir: mixp_ir::Program,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Vars {
-    temp: VarId,
-    power: VarId,
-    result: VarId,
-    cap: VarId,
-    rx: VarId,
-    ry: VarId,
-    rz: VarId,
-    step: VarId,
-    delta: VarId,
-    tc: VarId,
-    step_lit: VarId,
 }
 
 impl Hotspot {
@@ -198,16 +140,18 @@ impl Hotspot {
         let power_vals: Vec<f64> = (0..n).map(|_| g.uniform(1.0e-6, 5.0e-5)).collect();
         let temp_vals: Vec<f64> = (0..n).map(|_| g.uniform(0.0, 1.0e-3)).collect();
 
-        // The IR program mirrors `run` exactly: the same allocation order
-        // (power, temp, result), the same four per-iteration charges, and
-        // one sweep per row segment with streams declared in the
-        // stencil's per-cell evaluation order. The grid ping-pong cannot
-        // hoist (each pass reads the previous pass's writes), so the
-        // iteration loop is unrolled with the cur/nxt array ids swapped
-        // per pass; the output is whichever grid the last pass wrote.
+        // Allocation order is power, temp, result; four charges per
+        // iteration; one sweep per row segment. Boundary sites reuse the
+        // centre temperature, forgoing one load per missing neighbour, so
+        // each row is three segments (left edge, interior, right edge)
+        // with streams declared in the stencil's per-cell evaluation
+        // order. The grid ping-pong cannot hoist (each pass reads the
+        // previous pass's writes), so the iteration loop is unrolled with
+        // the cur/nxt array ids swapped per pass; the output is whichever
+        // grid the last pass wrote.
         let mut p = mixp_ir::Program::new("hotspot");
-        let pow_a = p.array_init(vid(power), power_vals.clone());
-        let temp_a = p.array_init(vid(temp), temp_vals.clone());
+        let pow_a = p.array_init(vid(power), power_vals);
+        let temp_a = p.array_init(vid(temp), temp_vals);
         let result_a = p.array(vid(result), n);
         let cap_s = p.scalar(vid(cap), 0.5);
         let rx_s = p.scalar(vid(rx), 1.0 / 3.0);
@@ -220,7 +164,11 @@ impl Hotspot {
         let (mut cur, mut nxt) = (temp_a, result_a);
         for _ in 0..iterations {
             p.flop(vid(tc), &[], 4 * n64);
+            // The `2.0` and `0.5` update factors are literals: at single
+            // precision these two ops stay double and cast.
             p.flop(vid(delta), &[vid(tc), vid(step_lit)], 2 * n64);
+            // Rx/Ry/Rz are priced as pre-inverted outside the loop, so the
+            // inner update is charged as multiply-add only.
             p.flop(
                 vid(delta),
                 &[vid(step), vid(cap), vid(power), vid(ry), vid(rx), vid(rz)],
@@ -252,7 +200,7 @@ impl Hotspot {
                     s.load(pow_a, base).store(nxt, base);
                     // The centre temperature rounds through the `tc`
                     // scratch scalar; boundary sites reuse it in place of
-                    // the missing neighbour, exactly like `run`.
+                    // the missing neighbour.
                     let tc_l = s.bind_scal(tc_sc, Expr::at(cur, base));
                     let tn = if r > 0 {
                         Expr::at(cur, base - cols)
@@ -276,7 +224,10 @@ impl Hotspot {
                     };
                     let vert = s.bind(ts + tn - Expr::k(2.0) * tc_l.clone());
                     let horiz = s.bind(te + tw - Expr::k(2.0) * tc_l.clone());
-                    // `-tc` as `-1.0 * tc`: an exact IEEE sign flip,
+                    // delta = step/cap * (power + (ts+tn-2tc)/ry
+                    //                    + (te+tw-2tc)/rx + (amb-tc)/rz),
+                    // where the ambient offset is zero by definition and
+                    // `-tc` is `-1.0 * tc`: an exact IEEE sign flip,
                     // signed zeros included.
                     let sink = s.bind(Expr::k(-1.0) * tc_l.clone());
                     let d = (Expr::scal(step_s) / Expr::scal(cap_s))
@@ -294,28 +245,7 @@ impl Hotspot {
         }
         p.output(cur);
 
-        Hotspot {
-            program,
-            v: Vars {
-                temp,
-                power,
-                result,
-                cap,
-                rx,
-                ry,
-                rz,
-                step,
-                delta,
-                tc,
-                step_lit,
-            },
-            rows,
-            cols,
-            iterations,
-            power_file: InputFile::new(&power_vals),
-            temp_file: InputFile::new(&temp_vals),
-            ir: p,
-        }
+        Hotspot { program, ir: p }
     }
 }
 
@@ -346,96 +276,6 @@ impl Benchmark for Hotspot {
         MetricKind::Mae
     }
 
-    fn run(&self, ctx: &mut ExecCtx<'_>) -> Vec<f64> {
-        let v = &self.v;
-        let (rows, cols) = (self.rows, self.cols);
-        let power = self.power_file.load(ctx, v.power);
-        let mut temp = self.temp_file.load(ctx, v.temp);
-        let mut result = ctx.alloc_vec(v.result, rows * cols);
-
-        let cap = MpScalar::new(ctx, v.cap, 0.5);
-        let rx = MpScalar::new(ctx, v.rx, 1.0 / 3.0);
-        let ry = MpScalar::new(ctx, v.ry, 1.0 / 3.0);
-        let rz = MpScalar::new(ctx, v.rz, 4.75);
-        let step = MpScalar::new(ctx, v.step, 1.0 / 64.0);
-
-        let n = rows * cols;
-        let n64 = n as u64;
-        let mut tc_s = MpScalar::new(ctx, v.tc, 0.0);
-        let mut delta_s = MpScalar::new(ctx, v.delta, 0.0);
-        // Boundary sites reuse the centre temperature, forgoing one load
-        // per missing neighbour, so each row is committed as three
-        // segments (left edge, interior, right edge) whose stream sets
-        // reproduce the per-cell evaluation order exactly.
-        let mut seg_group = StreamGroup::new();
-        for _ in 0..self.iterations {
-            ctx.flop(v.tc, &[], 4 * n64);
-            // The `2.0` and `0.5` update factors are literals: at single
-            // precision these two ops stay double and cast.
-            ctx.flop(v.delta, &[v.tc, v.step_lit], 2 * n64);
-            // Rx/Ry/Rz are pre-inverted outside the loop, so the inner
-            // update is multiply-add only.
-            ctx.flop(
-                v.delta,
-                &[v.step, v.cap, v.power, v.ry, v.rx, v.rz],
-                7 * n64,
-            );
-            ctx.flop(v.result, &[v.tc, v.delta], n64);
-            {
-                let stepv = step.get();
-                let capv = cap.get();
-                let rxv = rx.get();
-                let ryv = ry.get();
-                let rzv = rz.get();
-                let tv = temp.raw();
-                let pv = power.raw();
-                for r in 0..rows {
-                    let segments = [
-                        (0, 1, false, true),
-                        (1, cols - 1, true, true),
-                        (cols - 1, cols, true, false),
-                    ];
-                    for (start, end, west, east) in segments {
-                        declare_stencil(
-                            &mut seg_group,
-                            &temp,
-                            &power,
-                            &result,
-                            r * cols + start,
-                            cols,
-                            r,
-                            rows,
-                            west,
-                            east,
-                        );
-                        seg_group.commit(ctx, end - start);
-                        for c in start..end {
-                            let idx = r * cols + c;
-                            tc_s.set(ctx, tv[idx]);
-                            let tcv = tc_s.get();
-                            let tn = if r > 0 { tv[idx - cols] } else { tcv };
-                            let ts = if r + 1 < rows { tv[idx + cols] } else { tcv };
-                            let tw = if c > 0 { tv[idx - 1] } else { tcv };
-                            let te = if c + 1 < cols { tv[idx + 1] } else { tcv };
-                            // delta = step/cap * (power + (ts+tn-2tc)/ry
-                            //                    + (te+tw-2tc)/rx + (amb-tc)/rz)
-                            let vert = ts + tn - 2.0 * tcv;
-                            let horiz = te + tw - 2.0 * tcv;
-                            let sink = -tcv; // ambient offset is zero by definition
-                            let d =
-                                stepv / capv * (pv[idx] + vert / ryv + horiz / rxv + sink / rzv);
-                            delta_s.set(ctx, d);
-                            tc_s.set(ctx, tcv + delta_s.get());
-                            result.write_rounded(idx, tc_s.get());
-                        }
-                    }
-                }
-            }
-            std::mem::swap(&mut temp, &mut result);
-        }
-        temp.snapshot()
-    }
-
     fn ir_program(&self) -> Option<&mixp_ir::Program> {
         Some(&self.ir)
     }
@@ -444,7 +284,7 @@ impl Benchmark for Hotspot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mixp_core::{Evaluator, QualityThreshold};
+    use mixp_core::{Evaluator, ExecCtx, QualityThreshold};
 
     #[test]
     fn model_matches_table2() {
@@ -476,8 +316,12 @@ mod tests {
     fn paper_scale_grid_spills_l2_in_double_only() {
         // 3 grids * 128 * 128 * 8B = 384 KiB > 256 KiB; halved fits.
         let app = Hotspot::new();
-        let bytes = 3 * app.rows * app.cols * 8;
-        assert!(bytes > 256 * 1024);
-        assert!(bytes / 2 < 256 * 1024);
+        let grid_bytes = |cfg: &mixp_core::PrecisionConfig| {
+            let mut ctx = ExecCtx::new(cfg);
+            app.run(&mut ctx);
+            ctx.allocations().iter().map(|a| a.2).sum::<u64>()
+        };
+        assert!(grid_bytes(&app.program().config_all_double()) > 256 * 1024);
+        assert!(grid_bytes(&app.program().config_all_single()) < 256 * 1024);
     }
 }

@@ -1,17 +1,21 @@
-//! Plan-interpretation A/B bench: each IR-ported kernel run through its
-//! hand-written `Benchmark::run` (`direct`) vs a run that compiles the
-//! execution plan, interprets it and drops it (`plan-cold`, the path
-//! every evaluation takes), plus `compile_plan` alone (`compile`).
+//! Plan-optimizer A/B bench: each IR-ported kernel run through its
+//! unoptimized plan (`unoptimized`: serial bytecode for every sweep, loops
+//! run pass by pass, no dot superinstruction) vs a run that compiles the
+//! optimized plan, interprets it and drops it (`plan-cold`, the path every
+//! evaluation takes), plus `compile_plan` alone (`compile`). Both timed
+//! run arms compile their plan and simulate the cache hierarchy.
 //!
-//! `direct` and `plan-cold` produce bit-identical outputs, op counts and
-//! cache statistics (property-tested in `tests/integration_properties.rs`);
-//! what differs is interpretation overhead. The plan resolves every
-//! op's precision and rounding once per configuration, so the hot loop
-//! runs with zero per-op config dispatch. The `compile` arm keeps the
-//! compile share of `plan-cold` visible.
+//! `unoptimized` and `plan-cold` produce bit-identical outputs, op counts
+//! and cache statistics (property-tested in
+//! `tests/integration_properties.rs`); what differs is what the optimizer
+//! buys: vectorized sweeps and closed-form accounting for hoisted loops.
+//! The `compile` arm keeps the compile share of `plan-cold` visible.
 
 use mixp_core::perf::bench::{black_box, BenchGroup};
-use mixp_core::{compile_plan, run_config, run_config_direct, CacheParams};
+use mixp_core::perf::Hierarchy;
+use mixp_core::{
+    compile_plan, compile_plan_unoptimized, run_config, run_plan, CacheParams, ExecCtx,
+};
 use mixp_harness::{benchmark_by_name, Scale};
 use std::time::Duration;
 
@@ -34,13 +38,18 @@ fn main() {
         let pm = bench.program();
         let first = pm.clustering().ids().next().unwrap();
         let cfg = pm.config_from_clusters([first]);
-        group.bench_function(format!("{name}/direct"), |b| {
-            b.iter(|| black_box(run_config_direct(bench.as_ref(), &cfg, params)))
+        let prog = bench.ir_program().unwrap();
+        group.bench_function(format!("{name}/unoptimized"), |b| {
+            b.iter(|| {
+                let plan = compile_plan_unoptimized(prog, &cfg);
+                let mut h = Hierarchy::new(params);
+                let out = run_plan(&plan, &mut ExecCtx::with_tracer(&cfg, &mut h));
+                black_box((out, h.stats()))
+            })
         });
         group.bench_function(format!("{name}/plan-cold"), |b| {
             b.iter(|| black_box(run_config(bench.as_ref(), &cfg, params)))
         });
-        let prog = bench.ir_program().unwrap();
         group.bench_function(format!("{name}/compile"), |b| {
             b.iter(|| black_box(compile_plan(prog, &cfg)))
         });

@@ -51,22 +51,35 @@ pub trait Benchmark: Send + Sync {
     /// Executes the benchmark under the configuration carried by `ctx` and
     /// returns its verification output (the values the metric compares).
     ///
-    /// Implementations must route all tunable storage through
+    /// The default compiles [`Benchmark::ir_program`] for the context's
+    /// configuration and interprets the plan, so an IR-ported benchmark
+    /// is defined by its program alone. Benchmarks without a program
+    /// override `run`: they must route all tunable storage through
     /// [`mixp_float::MpVec`] / [`mixp_float::MpScalar`] and report their
     /// arithmetic via [`ExecCtx::flop`] / [`ExecCtx::heavy`] so that both
     /// the numerics and the cost accounting reflect the configuration.
-    fn run(&self, ctx: &mut ExecCtx<'_>) -> Vec<f64>;
+    ///
+    /// # Panics
+    ///
+    /// The default panics if the benchmark has no IR program.
+    fn run(&self, ctx: &mut ExecCtx<'_>) -> Vec<f64> {
+        let prog = self
+            .ir_program()
+            .expect("a benchmark without an IR program must implement `run`");
+        let plan = crate::irplan::compile_plan(prog, ctx.config());
+        crate::irplan::run_plan(&plan, ctx)
+    }
 
     /// The benchmark expressed as a [`mixp_ir::Program`], if it has been
     /// ported to the IR.
     ///
-    /// When present, the evaluator compiles `(program, configuration)`
-    /// pairs into specialized execution plans (one per run, dropped when
-    /// the run returns) and interprets those instead of calling
-    /// [`Benchmark::run`]. The contract is strict bit-equivalence: the
-    /// program must reproduce `run`'s outputs, operation counts and
-    /// access stream exactly, for every configuration — `run` stays the
-    /// executable specification, property-tested against the plan path.
+    /// When present, the program is the benchmark's one definition: the
+    /// evaluator compiles `(program, configuration)` pairs into
+    /// specialized execution plans (one per run, dropped when the run
+    /// returns) and interprets those. The optimized plan is
+    /// property-tested bit for bit (outputs, operation counts, access
+    /// stream) against the unoptimized plan of
+    /// [`crate::irplan::compile_plan_unoptimized`].
     fn ir_program(&self) -> Option<&mixp_ir::Program> {
         None
     }

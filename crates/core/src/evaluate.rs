@@ -367,27 +367,14 @@ impl ReferenceCache {
 /// verification output, operation counts and cache statistics.
 ///
 /// IR-ported benchmarks ([`Benchmark::ir_program`]) execute through a
-/// specialized plan, compiled for this run and dropped when it returns;
-/// the result is bit-identical to [`run_config_direct`]. Every call
-/// simulates: this is the memo-free oracle the evaluator's stream memo is
+/// specialized plan, compiled for this run and dropped when it returns.
+/// Every call simulates: this is the memo-free oracle the evaluator's stream memo is
 /// tested against.
 pub fn run_config(bench: &dyn Benchmark, cfg: &PrecisionConfig, cache: CacheParams) -> RunOutput {
     let plan = compile_run_plan(bench, cfg, &Obs::noop(), None);
     simulate(cache, |h| {
         run_traced(cfg, h, None, |ctx| execute(bench, plan.as_ref(), ctx))
     })
-}
-
-/// Runs `bench` under `cfg` through its hand-written [`Benchmark::run`]
-/// path, ignoring any IR port. The executable specification the plan
-/// path is property-tested against, and the baseline arm of the
-/// plan-interpretation benchmarks.
-pub fn run_config_direct(
-    bench: &dyn Benchmark,
-    cfg: &PrecisionConfig,
-    cache: CacheParams,
-) -> RunOutput {
-    simulate(cache, |h| run_traced(cfg, h, None, |ctx| bench.run(ctx)))
 }
 
 /// Compiles the execution plan of an IR-ported benchmark for one run

@@ -9,11 +9,10 @@
 //!
 //! The bridge back into the runtime's accounting is [`CtxSink`]: plan
 //! charges route through [`ExecCtx::op_sig`] + `flop_sig`/`heavy_sig`
-//! (so cast accounting is bit-identical to the hand-written `flop`
-//! calls), and stream groups route through [`ExecCtx::commit_streams`]
-//! (so the cache simulator sees exactly the access stream the
-//! hand-written [`mixp_float::StreamGroup`] loops emit, and
-//! cancellation is still polled once per stream per commit).
+//! (the same cast accounting as [`ExecCtx::flop`]), and stream groups
+//! route through [`ExecCtx::commit_streams`] (the same access stream a
+//! [`mixp_float::StreamGroup`] emits, with cancellation still polled
+//! once per stream per commit).
 //!
 //! Plans are transient: every run — the evaluator's reference run,
 //! sequential evaluation and batch fan-out alike — compiles its own plan,
@@ -49,6 +48,14 @@ fn to_prec(p: Precision) -> Prec {
 pub fn compile_plan(prog: &Program, cfg: &PrecisionConfig) -> Plan {
     let mut prec_of = |var: u32| to_prec(cfg.get(VarId::from_index(var as usize)));
     prog.compile(&mut prec_of, mixp_float::half::round_f64_to_f16)
+}
+
+/// [`compile_plan`] with the optimizer off (no vectorized sweeps, no loop
+/// hoisting, no dot superinstruction): the oracle the optimized plan is
+/// tested against.
+pub fn compile_plan_unoptimized(prog: &Program, cfg: &PrecisionConfig) -> Plan {
+    let mut prec_of = |var: u32| to_prec(cfg.get(VarId::from_index(var as usize)));
+    prog.compile_unoptimized(&mut prec_of, mixp_float::half::round_f64_to_f16)
 }
 
 /// The [`ExecSink`] that replays a plan's accounting into an
@@ -132,7 +139,7 @@ thread_local! {
 }
 
 /// Executes a compiled plan against `ctx`, returning the verification
-/// output. Drop-in for `bench.run(&mut ctx)` on IR-ported benchmarks.
+/// output.
 pub fn run_plan(plan: &Plan, ctx: &mut ExecCtx<'_>) -> Vec<f64> {
     SCRATCH.with(|scratch| {
         let mut scratch = scratch.borrow_mut();

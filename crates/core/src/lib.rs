@@ -28,10 +28,10 @@ pub mod synth;
 
 pub use benchmark::{Benchmark, BenchmarkKind};
 pub use evaluate::{
-    env_eval_workers, run_config, run_config_direct, CachedEval, EvalCache, EvalError, EvalRecord,
-    Evaluator, EvaluatorBuilder, ReferenceCache,
+    env_eval_workers, run_config, CachedEval, EvalCache, EvalError, EvalRecord, Evaluator,
+    EvaluatorBuilder, ReferenceCache,
 };
-pub use irplan::{compile_plan, run_plan};
+pub use irplan::{compile_plan, compile_plan_unoptimized, run_plan};
 pub use space::{Granularity, SearchSpace, UnitId};
 
 // Re-export the substrate crates so downstream users need only depend on

@@ -35,7 +35,26 @@ impl Program {
     /// pre-rounded init cache is keyed by precision only).
     pub fn compile(&self, prec_of: &mut dyn FnMut(u32) -> Prec, half: HalfFn) -> Plan {
         let analysis = self.analysis.get_or_init(|| analyze(self));
+        self.compile_with(Some(analysis), prec_of, half)
+    }
 
+    /// [`Program::compile`] without the optimizer: every sweep lowers to
+    /// serial bytecode, every loop runs pass by pass and every reduction
+    /// through the generic bytecode (no dot superinstruction). The
+    /// literal reading of the program, which the optimized plan must
+    /// reproduce bit for bit.
+    pub fn compile_unoptimized(&self, prec_of: &mut dyn FnMut(u32) -> Prec, half: HalfFn) -> Plan {
+        self.compile_with(None, prec_of, half)
+    }
+
+    /// Lowers the program; `analysis` enables vectorization, charge
+    /// hoisting and the dot superinstruction (`None` disables all three).
+    fn compile_with(
+        &self,
+        analysis: Option<&Analysis>,
+        prec_of: &mut dyn FnMut(u32) -> Prec,
+        half: HalfFn,
+    ) -> Plan {
         let mut arrs = Vec::with_capacity(self.arrays.len());
         let mut modes = Vec::with_capacity(self.arrays.len());
         let mut base = BASE0;
@@ -90,8 +109,10 @@ impl Program {
             repeat_ix: 0,
         };
         steps.extend(lw.lower_body(&self.body));
-        debug_assert_eq!(lw.sweep_ix, analysis.sweeps.len());
-        debug_assert_eq!(lw.repeat_ix, analysis.repeats.len());
+        if let Some(a) = analysis {
+            debug_assert_eq!(lw.sweep_ix, a.sweeps.len());
+            debug_assert_eq!(lw.repeat_ix, a.repeats.len());
+        }
         let (groups, n_temps) = (lw.groups, lw.n_temps);
 
         for arr in &self.outputs {
@@ -138,7 +159,7 @@ fn collect_mutable(body: &[Stmt], m: &mut [bool]) {
 
 struct Lower<'a> {
     p: &'a Program,
-    analysis: &'a Analysis,
+    analysis: Option<&'a Analysis>,
     arrs: &'a [ArrRt],
     modes: &'a [RoundMode],
     scal_modes: &'a [RoundMode],
@@ -192,7 +213,7 @@ impl<'a> Lower<'a> {
                 }),
                 Stmt::EmitScalar(s) => steps.push(Step::EmitScalar { slot: s.0 }),
                 Stmt::Repeat { times, body } => {
-                    let hoist = self.analysis.repeats[self.repeat_ix];
+                    let hoist = self.analysis.is_some_and(|a| a.repeats[self.repeat_ix]);
                     self.repeat_ix += 1;
                     if hoist && *times > 0 {
                         // Closed-form accounting: charges fold by the trip
@@ -300,7 +321,7 @@ impl<'a> Lower<'a> {
     }
 
     fn lower_sweep(&mut self, s: &Sweep) -> Step {
-        let vectorize = self.analysis.sweeps[self.sweep_ix];
+        let vectorize = self.analysis.is_some_and(|a| a.sweeps[self.sweep_ix]);
         self.sweep_ix += 1;
         if vectorize {
             self.lower_vec(s)
@@ -554,7 +575,7 @@ impl<'a> Lower<'a> {
     fn lower_reduce(&mut self, r: &Reduce) -> Step {
         let mode = self.scal_modes[r.acc.0 as usize];
         // The dot superinstruction: acc += (a[k] * b[k]) * w, unit strides.
-        if let Expr::Bin(BinOp::Mul, l, rk) = &r.expr {
+        if let (Some(_), Expr::Bin(BinOp::Mul, l, rk)) = (self.analysis, &r.expr) {
             if let (Expr::Bin(BinOp::Mul, x, y), Expr::K(w)) = (&**l, &**rk) {
                 if let (
                     Expr::Load {
@@ -679,6 +700,46 @@ mod tests {
         assert_eq!(total(&sh), total(&sl));
         assert_eq!(sh.charges.len(), 1, "hoisted: one folded charge");
         assert_eq!(sl.charges.len(), 5, "loop: one charge per pass");
+    }
+
+    /// The unoptimized plan takes none of the optimizer's fast paths yet
+    /// reproduces the optimized plan's outputs and stream groups (charges
+    /// differ only in batching: the hoisted loop folds its per-pass
+    /// charges into one).
+    #[test]
+    fn unoptimized_plan_is_literal_and_agrees() {
+        use crate::plan::Step;
+        fn fast(steps: &[Step]) -> bool {
+            steps.iter().any(|s| match s {
+                Step::VecSweep { .. } | Step::ReduceDot { .. } => true,
+                Step::Groups { repeats, .. } => *repeats > 1,
+                Step::Loop { body, .. } => fast(body),
+                _ => false,
+            })
+        }
+        let mut p = Program::new("u");
+        let x = p.array_init(0, (0..16).map(|i| i as f64 * 0.375).collect::<Vec<_>>());
+        let y = p.array(1, 16);
+        let q = p.scalar(2, 0.0);
+        p.begin_repeat(3);
+        p.flop(1, &[0], 16);
+        p.sweep(Sweep::scale(y, x, 16, Expr::k(0.5)));
+        p.end_repeat();
+        p.set_scalar(q);
+        p.reduce(Reduce::dot(q, x, y, 16, 1.5));
+        p.emit_scalar(q);
+        p.output(y);
+        for prec in [Prec::Half, Prec::Single, Prec::Double] {
+            let opt = p.compile(&mut all(prec), test_half);
+            let lit = p.compile_unoptimized(&mut all(prec), test_half);
+            assert!(fast(&opt.steps), "the optimizer must fire on this program");
+            assert!(!fast(&lit.steps), "the unoptimized plan takes no fast path");
+            let (mut so, mut sl) = (RecordingSink::new(), RecordingSink::new());
+            let oo = opt.execute(&mut so, &mut Scratch::new());
+            let ol = lit.execute(&mut sl, &mut Scratch::new());
+            assert_eq!(oo, ol);
+            assert_eq!(so.groups, sl.groups);
+        }
     }
 
     #[test]

@@ -33,13 +33,16 @@
 //!    flop/heavy/memory charges into [`StreamRt`] groups replayed
 //!    `times` passes while the compute steps run once. Array init data
 //!    is pre-rounded per precision and memoized on the program.
+//!    [`Program::compile_unoptimized`] lowers the same program with
+//!    vectorization, hoisting and the dot superinstruction off: the
+//!    literal reading the optimized plan is tested against.
 //! 4. **[`Plan::execute`]** — a plan interpreter over a raw `f64`
 //!    arena. Vectorizable sweeps run as three-address slice
 //!    instructions, serial sweeps as a tiny stack bytecode; all
 //!    accounting (charges, stream groups, gather elements) is emitted
 //!    through the [`ExecSink`] trait so the embedder can route it to
 //!    its op counters and memory tracer and observe the **identical**
-//!    access stream the hand-written path produces.
+//!    access stream the element-wise program produces.
 //!
 //! The crate is dependency-free by design: variables are raw `u32`
 //! ids, precision is the three-level [`Prec`] lattice, and the

@@ -5,8 +5,8 @@
 //! with every precision decision resolved to a [`RoundMode`] and every
 //! access stream resolved to absolute synthetic addresses. Executing a
 //! plan performs **zero** per-op config dispatch; all accounting flows
-//! through the [`ExecSink`] trait so the embedder sees the identical
-//! charge/trace sequence the hand-written benchmark produces.
+//! through the [`ExecSink`] trait so the embedder sees every charge and
+//! access stream of the program.
 
 use std::sync::Arc;
 
@@ -216,8 +216,8 @@ pub(crate) struct ArrRt {
 
 /// Where a plan's accounting goes: the embedder routes charges to its
 /// op counters, groups to its batched tracer, gathers to per-element
-/// tracing. A plan run emits the identical sink-call sequence the
-/// hand-written benchmark path produces.
+/// tracing. The optimized and unoptimized plans of one program leave the
+/// embedder's counters and tracer in identical states.
 pub trait ExecSink {
     /// Registers array `var` (`len` elements at `prec`) and returns its
     /// synthetic base address. Called once per array, in declaration

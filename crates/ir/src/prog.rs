@@ -3,7 +3,7 @@
 //!
 //! A [`Program`] is built once per benchmark (config-independent) and
 //! compiled per precision assignment by [`Program::compile`]. Builders
-//! mirror the hand-written `MpVec` idiom: arrays are declared in
+//! mirror the `MpVec` idiom: arrays are declared in
 //! allocation order (which fixes their synthetic addresses), every
 //! sweep declares its access streams in the exact order the
 //! element-wise loop would touch memory, and bulk flop/heavy charges
@@ -159,7 +159,7 @@ impl std::ops::Div for Expr {
 /// One declared access stream of a sweep or reduction — accounting
 /// metadata only (the op counters and memory tracer see these; the
 /// element expressions carry the actual dataflow). Declared in the
-/// exact order the hand-written element-wise loop touches memory.
+/// exact order the element-wise loop touches memory.
 #[derive(Debug, Clone)]
 pub enum StreamDecl {
     /// `arr[start + k * step]`, one access per committed iteration.
@@ -405,7 +405,8 @@ impl Reduce {
     }
 
     /// Weighted dot product: `acc = round(acc + (a[k] * b[k]) * w)`,
-    /// streams `[load a, load b]` — the shape of `MpVec::dot_weighted`.
+    /// streams `[load a, load b]` — the shape of `MpVec::dot` with each
+    /// product scaled by `w`.
     pub fn dot(acc: ScalId, a: ArrId, b: ArrId, count: usize, w: f64) -> Reduce {
         let mut r = Reduce::new(acc, count, (Expr::at(a, 0) * Expr::at(b, 0)) * Expr::k(w));
         r.load(a, 0).load(b, 0);
@@ -508,8 +509,8 @@ impl Program {
     // --- declarations ----------------------------------------------------
     //
     // Declaration order is allocation order: synthetic base addresses are
-    // assigned exactly as `ExecCtx::reserve` would, so IR programs must
-    // declare arrays in the same order the hand-written path allocates.
+    // assigned exactly as `ExecCtx::reserve` would for the same sequence
+    // of allocations.
 
     /// Declares a zero-initialised array bound to program variable `var`.
     pub fn array(&mut self, var: u32, len: usize) -> ArrId {

@@ -11,7 +11,7 @@
 
 /// Rounds a value to the extended narrow format (IEEE binary16 in the
 /// runtime). Injected by the embedder so this crate stays
-/// dependency-free and bit-identical to the hand-written path.
+/// dependency-free and bit-identical to the runtime's own rounding.
 pub type HalfFn = fn(f64) -> f64;
 
 /// A store's fully-resolved rounding behaviour.

@@ -1,10 +1,7 @@
 //! Banded linear systems solution.
 
 use crate::common::{init_data, vid};
-use mixp_core::{
-    Benchmark, BenchmarkKind, ExecCtx, MetricKind, ProgramBuilder, ProgramModel, VarId,
-};
-use mixp_float::MpVec;
+use mixp_core::{Benchmark, BenchmarkKind, MetricKind, ProgramBuilder, ProgramModel};
 use mixp_ir::{Expr, Sweep};
 
 /// Banded linear systems solution (Table I) — forward substitution over a
@@ -24,12 +21,6 @@ use mixp_ir::{Expr, Sweep};
 #[derive(Debug, Clone)]
 pub struct BandedLinEq {
     program: ProgramModel,
-    x: VarId,
-    y: VarId,
-    nsys: usize,
-    n: usize,
-    sweeps: usize,
-    y_init: Vec<f64>,
     ir: mixp_ir::Program,
 }
 
@@ -61,13 +52,14 @@ impl BandedLinEq {
         let y = b.array(solve, "y");
         b.bind(x, y); // both flow through the same double* parameters
         let program = b.build();
-        let y_init = init_data("banded-lin-eq", 0, nsys * n, 0.01, 0.11);
 
-        // One strided sweep per row (the lock-step inner j-loop), unrolled
+        // Lock-step forward substitution: one strided sweep per row (the
+        // inner j-loop strides across systems, step n elements), unrolled
         // across rows inside a counted repeat over the outer sweeps.
         let mut p = mixp_ir::Program::new("banded-lin-eq");
-        let ya = p.array_init(vid(y), y_init.clone());
+        let ya = p.array_init(vid(y), init_data("banded-lin-eq", 0, nsys * n, 0.01, 0.11));
         let xa = p.array(vid(x), nsys * n);
+        // 3 flops per row update, entirely within the {x, y} cluster.
         let iters = (sweeps * (n - 1) * nsys) as u64;
         p.flop(vid(x), &[vid(y)], 3 * iters);
         let step = n as i64;
@@ -89,16 +81,7 @@ impl BandedLinEq {
         p.end_repeat();
         p.output(xa);
 
-        BandedLinEq {
-            program,
-            x,
-            y,
-            nsys,
-            n,
-            sweeps,
-            y_init,
-            ir: p,
-        }
+        BandedLinEq { program, ir: p }
     }
 }
 
@@ -129,39 +112,6 @@ impl Benchmark for BandedLinEq {
         MetricKind::Mae
     }
 
-    fn run(&self, ctx: &mut ExecCtx<'_>) -> Vec<f64> {
-        let y = MpVec::from_values(ctx, self.y, &self.y_init);
-        let mut x = ctx.alloc_vec(self.x, self.nsys * self.n);
-        // 3 flops per row update, entirely within the {x, y} cluster.
-        let iters = (self.sweeps * (self.n - 1) * self.nsys) as u64;
-        ctx.flop(self.x, &[self.y], 3 * iters);
-        // Lock-step forward substitution: row i of every system. The inner
-        // j-loop strides across systems (step n elements), so each row is
-        // one 4-stream group of nsys iterations, rebased per row.
-        let step = self.n as i64;
-        let mut row = mixp_float::StreamGroup::new();
-        row.load_strided(&y, 1, step)
-            .load_strided(&x, 0, step)
-            .load_strided(&y, 0, step)
-            .store_strided(&x, 1, step);
-        for _ in 0..self.sweeps {
-            for i in 1..self.n {
-                row.rebase(0, &y, i)
-                    .rebase(1, &x, i - 1)
-                    .rebase(2, &y, i - 1)
-                    .rebase(3, &x, i);
-                row.commit(ctx, self.nsys);
-                let yv = y.raw();
-                for j in 0..self.nsys {
-                    let idx = j * self.n + i;
-                    let prev = x.raw()[idx - 1];
-                    x.write_rounded(idx, yv[idx] - prev * yv[idx - 1]);
-                }
-            }
-        }
-        x.snapshot()
-    }
-
     fn ir_program(&self) -> Option<&mixp_ir::Program> {
         Some(&self.ir)
     }
@@ -170,7 +120,7 @@ impl Benchmark for BandedLinEq {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mixp_core::{Evaluator, QualityThreshold};
+    use mixp_core::{Evaluator, ExecCtx, QualityThreshold};
 
     #[test]
     fn deterministic_reference_output() {
@@ -197,10 +147,11 @@ mod tests {
         let cfg = k.program().config_all_double();
         let mut ctx = ExecCtx::new(&cfg);
         let out = k.run(&mut ctx);
+        let y = init_data("banded-lin-eq", 0, 2 * 8, 0.01, 0.11);
         for j in 0..2 {
             let mut expect = [0.0f64; 8];
             for i in 1..8 {
-                expect[i] = k.y_init[j * 8 + i] - expect[i - 1] * k.y_init[j * 8 + i - 1];
+                expect[i] = y[j * 8 + i] - expect[i - 1] * y[j * 8 + i - 1];
             }
             for i in 0..8 {
                 assert!((out[j * 8 + i] - expect[i]).abs() < 1e-15);

@@ -8,6 +8,16 @@ pub(crate) fn vid(v: VarId) -> u32 {
     v.index() as u32
 }
 
+/// The program-model variable of `bench` named `name`.
+#[cfg(test)]
+pub(crate) fn var(bench: &dyn mixp_core::Benchmark, name: &str) -> VarId {
+    bench
+        .program()
+        .registry()
+        .find(name)
+        .expect("no such variable")
+}
+
 /// The fixed seed every kernel derives its random initialisation from.
 /// Determinism across runs is required for the evaluator's reference
 /// comparison, so kernels never take entropy from the environment.

@@ -1,10 +1,7 @@
 //! Difference predictor.
 
 use crate::common::{init_data, vid};
-use mixp_core::{
-    Benchmark, BenchmarkKind, ExecCtx, MetricKind, ProgramBuilder, ProgramModel, VarId,
-};
-use mixp_float::MpVec;
+use mixp_core::{Benchmark, BenchmarkKind, MetricKind, ProgramBuilder, ProgramModel};
 use mixp_ir::{Expr, Sweep};
 
 /// Difference predictor (Table I) — the Livermore-style chained difference
@@ -19,11 +16,6 @@ use mixp_ir::{Expr, Sweep};
 #[derive(Debug, Clone)]
 pub struct DiffPredictor {
     program: ProgramModel,
-    cx: VarId,
-    px: [VarId; 4],
-    n: usize,
-    passes: usize,
-    cx_init: Vec<f64>,
     ir: mixp_ir::Program,
 }
 
@@ -60,10 +52,9 @@ impl DiffPredictor {
             b.bind(cx, p);
         }
         let program = b.build();
-        let cx_init = init_data("diff-predictor", 0, n, 0.01, 0.11);
 
         let mut p = mixp_ir::Program::new("diff-predictor");
-        let cxa = p.array_init(vid(cx), cx_init.clone());
+        let cxa = p.array_init(vid(cx), init_data("diff-predictor", 0, n, 0.01, 0.11));
         let pxa: Vec<_> = px.iter().map(|&v| p.array(vid(v), n)).collect();
         let iters = (passes * (n - 1)) as u64;
         for &level in &px {
@@ -71,6 +62,9 @@ impl DiffPredictor {
             p.flop(vid(cx), &[vid(level)], 4 * iters);
         }
         p.flop(vid(cx), &[], iters);
+        // Each difference level reads its source at i and i-1 and stores
+        // level[i]; the predict combine then reads cx and all four levels
+        // before storing cx.
         p.begin_repeat(passes);
         for level in 0..4 {
             let (src, dst) = if level == 0 {
@@ -89,6 +83,9 @@ impl DiffPredictor {
             s.load(level, 1);
         }
         s.store(cxa, 1);
+        // Small, halving weights keep the predictor contractive: the
+        // worst-case gain of the difference operator stays below one, so
+        // storage rounding cannot be amplified.
         let mut acc = Expr::at(cxa, 1);
         let mut w = 0.01;
         for &level in &pxa {
@@ -100,15 +97,7 @@ impl DiffPredictor {
         p.end_repeat();
         p.output(cxa);
 
-        DiffPredictor {
-            program,
-            cx,
-            px,
-            n,
-            passes,
-            cx_init,
-            ir: p,
-        }
+        DiffPredictor { program, ir: p }
     }
 }
 
@@ -139,66 +128,6 @@ impl Benchmark for DiffPredictor {
         MetricKind::Mae
     }
 
-    fn run(&self, ctx: &mut ExecCtx<'_>) -> Vec<f64> {
-        let mut cx = MpVec::from_values(ctx, self.cx, &self.cx_init);
-        let mut px: Vec<MpVec> = self.px.iter().map(|&v| ctx.alloc_vec(v, self.n)).collect();
-        let iters = (self.passes * (self.n - 1)) as u64;
-        for level in 0..4 {
-            ctx.flop(self.px[level], &[self.cx], 3 * iters);
-            ctx.flop(self.cx, &[self.px[level]], 4 * iters);
-        }
-        ctx.flop(self.cx, &[], iters);
-        // Each difference level reads its source at i and i-1 and stores
-        // level[i]; the predict combine then reads cx and all four levels
-        // before storing cx — exactly the element-wise evaluation order.
-        let mut diff = mixp_float::StreamGroup::new();
-        diff.load(&cx, 1).load(&cx, 0).store(&px[0], 1);
-        let mut predict = mixp_float::StreamGroup::new();
-        predict.load(&cx, 1);
-        for level in &px {
-            predict.load(level, 1);
-        }
-        predict.store(&cx, 1);
-        for _ in 0..self.passes {
-            for level in 0..4 {
-                if level == 0 {
-                    diff.rebase(0, &cx, 1)
-                        .rebase(1, &cx, 0)
-                        .rebase(2, &px[0], 1);
-                    diff.commit(ctx, self.n - 1);
-                    for i in 1..self.n {
-                        let d = cx.raw()[i] - cx.raw()[i - 1];
-                        px[0].write_rounded(i, d);
-                    }
-                } else {
-                    diff.rebase(0, &px[level - 1], 1)
-                        .rebase(1, &px[level - 1], 0)
-                        .rebase(2, &px[level], 1);
-                    diff.commit(ctx, self.n - 1);
-                    let (lower, upper) = px.split_at_mut(level);
-                    let prev = lower[level - 1].raw();
-                    for i in 1..self.n {
-                        upper[0].write_rounded(i, prev[i] - prev[i - 1]);
-                    }
-                }
-            }
-            predict.commit(ctx, self.n - 1);
-            for i in 1..self.n {
-                let mut acc = cx.raw()[i];
-                // Small, halving weights keep the predictor contractive:
-                // the worst-case gain of the difference operator stays
-                // below one, so storage rounding cannot be amplified.
-                let mut w = 0.01;
-                for level in &px {
-                    acc += w * level.raw()[i];
-                    w *= 0.5;
-                }
-                cx.write_rounded(i, acc * 0.5);
-            }
-        }
-        cx.snapshot()
-    }
-
     fn ir_program(&self) -> Option<&mixp_ir::Program> {
         Some(&self.ir)
     }
@@ -207,7 +136,7 @@ impl Benchmark for DiffPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mixp_core::{Evaluator, QualityThreshold};
+    use mixp_core::{Evaluator, ExecCtx, QualityThreshold};
 
     #[test]
     fn reference_is_finite() {

@@ -1,10 +1,7 @@
 //! Equation of state fragment.
 
 use crate::common::{init_data, vid};
-use mixp_core::{
-    Benchmark, BenchmarkKind, ExecCtx, MetricKind, ProgramBuilder, ProgramModel, VarId,
-};
-use mixp_float::MpVec;
+use mixp_core::{Benchmark, BenchmarkKind, MetricKind, ProgramBuilder, ProgramModel};
 use mixp_ir::{Expr, Sweep};
 
 /// Equation of state fragment (Table I) — the Livermore loop 7 shape:
@@ -20,19 +17,6 @@ use mixp_ir::{Expr, Sweep};
 #[derive(Debug, Clone)]
 pub struct Eos {
     program: ProgramModel,
-    x: VarId,
-    y: VarId,
-    z: VarId,
-    u: VarId,
-    w: VarId,
-    q: VarId,
-    r: VarId,
-    t_lit: VarId,
-    n: usize,
-    passes: usize,
-    y_init: Vec<f64>,
-    z_init: Vec<f64>,
-    u_init: Vec<f64>,
     ir: mixp_ir::Program,
 }
 
@@ -70,17 +54,11 @@ impl Eos {
         b.bind(q, r); // both passed through one `double*` rates pointer
         let t_lit = b.literal(f, "t");
         let program = b.build();
-        let y_init = init_data("eos", 0, n, 0.01, 0.11);
-        let z_init = init_data("eos", 1, n, 0.01, 0.11);
-        let u_init = init_data("eos", 2, n, 0.01, 0.11);
 
-        // The IR program mirrors `run` exactly: same allocation order, same
-        // charge statements, same per-pass stream group (including the x[i]
-        // read-back between the two stores), same expression trees.
         let mut p = mixp_ir::Program::new("eos");
-        let ya = p.array_init(vid(y), y_init.clone());
-        let za = p.array_init(vid(z), z_init.clone());
-        let ua = p.array_init(vid(u), u_init.clone());
+        let ya = p.array_init(vid(y), init_data("eos", 0, n, 0.01, 0.11));
+        let za = p.array_init(vid(z), init_data("eos", 1, n, 0.01, 0.11));
+        let ua = p.array_init(vid(u), init_data("eos", 2, n, 0.01, 0.11));
         let xa = p.array(vid(x), n);
         let wa = p.array(vid(w), n);
         let qs = p.scalar(vid(q), 0.0625);
@@ -89,8 +67,13 @@ impl Eos {
         let iters = (passes * (n - 6)) as u64;
         p.flop(vid(x), &[vid(u), vid(r), vid(z), vid(y)], 4 * iters);
         p.flop(vid(x), &[vid(u), vid(q)], 4 * iters);
+        // The literal time step participates in the final combine: this op
+        // is always double and casts lowered operands.
         p.flop(vid(x), &[vid(t_lit)], 2 * iters);
         p.flop(vid(w), &[vid(x), vid(t_lit), vid(u)], 2 * iters);
+        // One stream group per pass, declared in the element-wise
+        // evaluation order, including the x[i] read-back between the two
+        // stores.
         p.begin_repeat(passes);
         let mut s = Sweep::new(n - 6);
         s.load(ua, 0)
@@ -116,23 +99,7 @@ impl Eos {
         p.output(xa);
         p.output(wa);
 
-        Eos {
-            program,
-            x,
-            y,
-            z,
-            u,
-            w,
-            q,
-            r,
-            t_lit,
-            n,
-            passes,
-            y_init,
-            z_init,
-            u_init,
-            ir: p,
-        }
+        Eos { program, ir: p }
     }
 }
 
@@ -163,56 +130,6 @@ impl Benchmark for Eos {
         MetricKind::Mae
     }
 
-    fn run(&self, ctx: &mut ExecCtx<'_>) -> Vec<f64> {
-        let y = MpVec::from_values(ctx, self.y, &self.y_init);
-        let z = MpVec::from_values(ctx, self.z, &self.z_init);
-        let u = MpVec::from_values(ctx, self.u, &self.u_init);
-        let mut x = ctx.alloc_vec(self.x, self.n);
-        let mut w = ctx.alloc_vec(self.w, self.n);
-        let q = mixp_float::MpScalar::new(ctx, self.q, 0.0625);
-        let r = mixp_float::MpScalar::new(ctx, self.r, 0.03125);
-        let t = 0.015625; // literal: always double
-        let iters = (self.passes * (self.n - 6)) as u64;
-        ctx.flop(self.x, &[self.u, self.r, self.z, self.y], 4 * iters);
-        ctx.flop(self.x, &[self.u, self.q], 4 * iters);
-        // The literal time step participates in the final combine: this op
-        // is always double and casts lowered operands.
-        ctx.flop(self.x, &[self.t_lit], 2 * iters);
-        ctx.flop(self.w, &[self.x, self.t_lit, self.u], 2 * iters);
-        // One stream group per pass, declared in the element-wise loop's
-        // per-iteration evaluation order — including the x[i] read-back
-        // between the two stores — so the cache simulator sees the exact
-        // sequence the reference loop emitted.
-        let mut group = mixp_float::StreamGroup::new();
-        group
-            .load(&u, 0)
-            .load(&z, 0)
-            .load(&y, 0)
-            .load(&u, 3)
-            .load(&u, 2)
-            .load(&u, 1)
-            .store(&x, 0)
-            .load(&x, 0)
-            .load(&u, 0)
-            .store(&w, 0);
-        let (qv, rv) = (q.get(), r.get());
-        for _ in 0..self.passes {
-            group.commit(ctx, self.n - 6);
-            let uv = u.raw();
-            let zv = z.raw();
-            let yv = y.raw();
-            for i in 0..self.n - 6 {
-                let inner = uv[i] + rv * (zv[i] + rv * yv[i]);
-                let hist = uv[i + 3] + qv * (uv[i + 2] + qv * uv[i + 1]);
-                let stored = x.write_rounded(i, inner + t * hist);
-                w.write_rounded(i, stored * t + uv[i]);
-            }
-        }
-        let mut out = x.snapshot();
-        out.extend(w.snapshot());
-        out
-    }
-
     fn ir_program(&self) -> Option<&mixp_ir::Program> {
         Some(&self.ir)
     }
@@ -221,6 +138,7 @@ impl Benchmark for Eos {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::var;
     use mixp_core::{Evaluator, Precision, QualityThreshold};
 
     #[test]
@@ -234,7 +152,7 @@ mod tests {
     fn literal_stays_double_in_all_single() {
         let k = Eos::small();
         let cfg = k.program().config_all_single();
-        assert_eq!(cfg.get(k.t_lit), Precision::Double);
+        assert_eq!(cfg.get(var(&k, "t")), Precision::Double);
     }
 
     #[test]

@@ -1,10 +1,7 @@
 //! General linear recurrence equation.
 
 use crate::common::{init_data, vid};
-use mixp_core::{
-    Benchmark, BenchmarkKind, ExecCtx, MetricKind, ProgramBuilder, ProgramModel, VarId,
-};
-use mixp_float::MpVec;
+use mixp_core::{Benchmark, BenchmarkKind, MetricKind, ProgramBuilder, ProgramModel};
 use mixp_ir::{Expr, Sweep};
 
 /// General linear recurrence equation (Table I) — the Livermore loop 6
@@ -15,20 +12,12 @@ use mixp_ir::{Expr, Sweep};
 /// the recurrence's pointer parameters.
 ///
 /// The dependent chain cannot be vectorised, so its operations are
-/// latency-bound ([`ExecCtx::heavy`]) and the kernel gains essentially
+/// latency-bound ([`mixp_core::ExecCtx::heavy`]) and the kernel gains essentially
 /// nothing from single precision (Table III: ≈1.0, and slightly *below*
 /// 1.0 for the suboptimal hierarchical configurations).
 #[derive(Debug, Clone)]
 pub struct GenLinRecur {
     program: ProgramModel,
-    sa: VarId,
-    sb: VarId,
-    stb: VarId,
-    sx: VarId,
-    n: usize,
-    passes: usize,
-    sa_init: Vec<f64>,
-    sb_init: Vec<f64>,
     ir: mixp_ir::Program,
 }
 
@@ -61,18 +50,17 @@ impl GenLinRecur {
             b.bind(sa, a);
         }
         let program = b.build();
-        let sa_init = init_data("gen-lin-recur", 0, n, 0.01, 0.11);
-        let sb_init = init_data("gen-lin-recur", 1, n, 0.01, 0.11);
 
         let mut p = mixp_ir::Program::new("gen-lin-recur");
-        let saa = p.array_init(vid(sa), sa_init.clone());
-        let sba = p.array_init(vid(sb), sb_init.clone());
+        let saa = p.array_init(vid(sa), init_data("gen-lin-recur", 0, n, 0.01, 0.11));
+        let sba = p.array_init(vid(sb), init_data("gen-lin-recur", 1, n, 0.01, 0.11));
         let stba = p.array(vid(stb), n);
         let sxa = p.array(vid(sx), n);
         let iters = (passes * (n - 1)) as u64;
         p.heavy(vid(stb), &[vid(sb), vid(sa)], 2 * iters);
         p.heavy(vid(sx), &[vid(stb), vid(sa)], 2 * iters);
         p.begin_repeat(passes);
+        // stb[i] = sb[i] - stb[i-1]*sa[i]: strict forward dependence.
         let mut fwd = Sweep::new(n - 1);
         fwd.load(sba, 1).load(stba, 0).load(saa, 1).store(stba, 1);
         fwd.set(
@@ -81,6 +69,8 @@ impl GenLinRecur {
             Expr::at(sba, 1) - Expr::at(stba, 0) * Expr::at(saa, 1),
         );
         p.sweep(fwd);
+        // Backward accumulation, equally dependence-bound: a descending
+        // sweep, expressed as negative-stride streams anchored at i = n-2.
         let mut bwd = Sweep::new(n - 1);
         bwd.load_strided(stba, n - 2, -1)
             .load_strided(sxa, n - 1, -1)
@@ -96,18 +86,7 @@ impl GenLinRecur {
         p.end_repeat();
         p.output(sxa);
 
-        GenLinRecur {
-            program,
-            sa,
-            sb,
-            stb,
-            sx,
-            n,
-            passes,
-            sa_init,
-            sb_init,
-            ir: p,
-        }
+        GenLinRecur { program, ir: p }
     }
 }
 
@@ -138,41 +117,6 @@ impl Benchmark for GenLinRecur {
         MetricKind::Mae
     }
 
-    fn run(&self, ctx: &mut ExecCtx<'_>) -> Vec<f64> {
-        let sa = MpVec::from_values(ctx, self.sa, &self.sa_init);
-        let sb = MpVec::from_values(ctx, self.sb, &self.sb_init);
-        let mut stb = ctx.alloc_vec(self.stb, self.n);
-        let mut sx = ctx.alloc_vec(self.sx, self.n);
-        let iters = (self.passes * (self.n - 1)) as u64;
-        ctx.heavy(self.stb, &[self.sb, self.sa], 2 * iters);
-        ctx.heavy(self.sx, &[self.stb, self.sa], 2 * iters);
-        // stb[i] = sb[i] - stb[i-1]*sa[i]: strict forward dependence.
-        let mut fwd = mixp_float::StreamGroup::new();
-        fwd.load(&sb, 1).load(&stb, 0).load(&sa, 1).store(&stb, 1);
-        // Backward accumulation, equally dependence-bound: a descending
-        // sweep, expressed as negative-stride streams anchored at i = n-2.
-        let mut bwd = mixp_float::StreamGroup::new();
-        bwd.load_strided(&stb, self.n - 2, -1)
-            .load_strided(&sx, self.n - 1, -1)
-            .load_strided(&sa, self.n - 2, -1)
-            .store_strided(&sx, self.n - 2, -1);
-        let sbv = sb.raw();
-        let sav = sa.raw();
-        for _ in 0..self.passes {
-            fwd.commit(ctx, self.n - 1);
-            for i in 1..self.n {
-                let prev = stb.raw()[i - 1];
-                stb.write_rounded(i, sbv[i] - prev * sav[i]);
-            }
-            bwd.commit(ctx, self.n - 1);
-            for i in (0..self.n - 1).rev() {
-                let next = sx.raw()[i + 1];
-                sx.write_rounded(i, stb.raw()[i] + next * sav[i]);
-            }
-        }
-        sx.snapshot()
-    }
-
     fn ir_program(&self) -> Option<&mixp_ir::Program> {
         Some(&self.ir)
     }
@@ -181,7 +125,7 @@ impl Benchmark for GenLinRecur {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mixp_core::{Evaluator, QualityThreshold};
+    use mixp_core::{Evaluator, ExecCtx, QualityThreshold};
 
     #[test]
     fn model_matches_table2() {

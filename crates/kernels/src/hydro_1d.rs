@@ -1,10 +1,7 @@
 //! Hydrodynamics fragment.
 
 use crate::common::{init_data, vid};
-use mixp_core::{
-    Benchmark, BenchmarkKind, ExecCtx, MetricKind, ProgramBuilder, ProgramModel, VarId,
-};
-use mixp_float::{MpScalar, MpVec};
+use mixp_core::{Benchmark, BenchmarkKind, MetricKind, ProgramBuilder, ProgramModel};
 use mixp_ir::{Expr, Sweep};
 
 /// 1-D hydrodynamics fragment (Table I) — the Livermore loop 1 shape:
@@ -19,16 +16,6 @@ use mixp_ir::{Expr, Sweep};
 #[derive(Debug, Clone)]
 pub struct Hydro1d {
     program: ProgramModel,
-    x: VarId,
-    y: VarId,
-    z: VarId,
-    q: VarId,
-    r: VarId,
-    t: VarId,
-    n: usize,
-    passes: usize,
-    y_init: Vec<f64>,
-    z_init: Vec<f64>,
     ir: mixp_ir::Program,
 }
 
@@ -64,16 +51,15 @@ impl Hydro1d {
         b.bind(q, r);
         b.bind(q, t);
         let program = b.build();
-        let y_init = init_data("hydro-1d", 0, n, 0.01, 0.11);
-        let z_init = init_data("hydro-1d", 1, n, 0.01, 0.11);
 
         let mut p = mixp_ir::Program::new("hydro-1d");
-        let ya = p.array_init(vid(y), y_init.clone());
-        let za = p.array_init(vid(z), z_init.clone());
+        let ya = p.array_init(vid(y), init_data("hydro-1d", 0, n, 0.01, 0.11));
+        let za = p.array_init(vid(z), init_data("hydro-1d", 1, n, 0.01, 0.11));
         let xa = p.array(vid(x), n);
         let qs = p.scalar(vid(q), 0.05);
         let rs = p.scalar(vid(r), 0.02);
         let ts = p.scalar(vid(t), 0.01);
+        // 3 muls + 2 adds per point, all inside the two clusters.
         let iters = (passes * (n - 11)) as u64;
         p.flop(vid(x), &[vid(q), vid(y), vid(r), vid(z), vid(t)], 7 * iters);
         p.begin_repeat(passes);
@@ -90,20 +76,7 @@ impl Hydro1d {
         p.end_repeat();
         p.output(xa);
 
-        Hydro1d {
-            program,
-            x,
-            y,
-            z,
-            q,
-            r,
-            t,
-            n,
-            passes,
-            y_init,
-            z_init,
-            ir: p,
-        }
+        Hydro1d { program, ir: p }
     }
 }
 
@@ -134,30 +107,6 @@ impl Benchmark for Hydro1d {
         MetricKind::Mae
     }
 
-    fn run(&self, ctx: &mut ExecCtx<'_>) -> Vec<f64> {
-        let y = MpVec::from_values(ctx, self.y, &self.y_init);
-        let z = MpVec::from_values(ctx, self.z, &self.z_init);
-        let mut x = ctx.alloc_vec(self.x, self.n);
-        let q = MpScalar::new(ctx, self.q, 0.05);
-        let r = MpScalar::new(ctx, self.r, 0.02);
-        let t = MpScalar::new(ctx, self.t, 0.01);
-        // 3 muls + 2 adds per point, all inside the two clusters.
-        let iters = (self.passes * (self.n - 11)) as u64;
-        ctx.flop(self.x, &[self.q, self.y, self.r, self.z, self.t], 7 * iters);
-        let mut group = mixp_float::StreamGroup::new();
-        group.load(&y, 0).load(&z, 10).load(&z, 11).store(&x, 0);
-        let (qv, rv, tv) = (q.get(), r.get(), t.get());
-        let yv = y.raw();
-        let zv = z.raw();
-        for _ in 0..self.passes {
-            group.commit(ctx, self.n - 11);
-            for k in 0..self.n - 11 {
-                x.write_rounded(k, qv + yv[k] * (rv * zv[k + 10] + tv * zv[k + 11]));
-            }
-        }
-        x.snapshot()
-    }
-
     fn ir_program(&self) -> Option<&mixp_ir::Program> {
         Some(&self.ir)
     }
@@ -166,6 +115,7 @@ impl Benchmark for Hydro1d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::var;
     use mixp_core::{Evaluator, QualityThreshold};
 
     #[test]
@@ -190,7 +140,7 @@ mod tests {
         let mut ev = Evaluator::new(&k, QualityThreshold::new(1e-3));
         // Lower the scalar cluster only: arrays stay double, ops stay f64,
         // and each op casts the narrow scalar inputs.
-        let scalars = [k.q, k.r, k.t];
+        let scalars = ["q", "r", "t"].map(|name| var(&k, name));
         let cfg = mixp_core::PrecisionConfig::from_lowered(k.program().var_count(), scalars);
         let rec = ev.evaluate(&cfg).unwrap();
         assert!(rec.compiled);

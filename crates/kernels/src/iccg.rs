@@ -1,10 +1,7 @@
 //! Incomplete Cholesky conjugate gradient fragment.
 
 use crate::common::{init_data, vid};
-use mixp_core::{
-    Benchmark, BenchmarkKind, ExecCtx, MetricKind, ProgramBuilder, ProgramModel, VarId,
-};
-use mixp_float::MpVec;
+use mixp_core::{Benchmark, BenchmarkKind, MetricKind, ProgramBuilder, ProgramModel};
 use mixp_ir::{Expr, Sweep};
 
 /// Incomplete Cholesky conjugate gradient fragment (Table I) — the
@@ -19,12 +16,6 @@ use mixp_ir::{Expr, Sweep};
 #[derive(Debug, Clone)]
 pub struct Iccg {
     program: ProgramModel,
-    x: VarId,
-    v: VarId,
-    n: usize,
-    passes: usize,
-    x_init: Vec<f64>,
-    v_init: Vec<f64>,
     ir: mixp_ir::Program,
 }
 
@@ -53,15 +44,15 @@ impl Iccg {
         let v = b.array(f, "v");
         b.bind(x, v);
         let program = b.build();
-        let x_init = init_data("iccg", 0, 2 * n, 0.01, 0.11);
-        let v_init = init_data("iccg", 1, 2 * n, 0.001, 0.011);
 
         // The butterfly's level structure is static given `n`, so the IR
-        // unrolls one sweep per level (the same dry walk `run` counts with)
-        // inside a counted repeat over the passes.
+        // unrolls one sweep per level inside a counted repeat over the
+        // passes.
         let mut p = mixp_ir::Program::new("iccg");
-        let xa = p.array_init(vid(x), x_init.clone());
-        let va = p.array_init(vid(v), v_init.clone());
+        let xa = p.array_init(vid(x), init_data("iccg", 0, 2 * n, 0.01, 0.11));
+        let va = p.array_init(vid(v), init_data("iccg", 1, 2 * n, 0.001, 0.011));
+        // Count the butterfly's update sites up front (integer-only dry
+        // walk) so flop accounting can be charged in bulk.
         let per_pass = {
             let mut count = 0u64;
             let mut ii = n;
@@ -75,6 +66,10 @@ impl Iccg {
             count
         };
         p.flop(vid(x), &[vid(v)], 9 * per_pass * passes as u64);
+        // Butterfly reduction: level sizes n/2, n/4, ..., 1. Within a
+        // level k steps by two, so each level's five load streams stride 2
+        // elements while the store stream (compacting into the next level
+        // at ipntp) strides 1.
         p.begin_repeat(passes);
         let mut ii = n;
         let mut ipntp = 0;
@@ -102,16 +97,7 @@ impl Iccg {
         p.end_repeat();
         p.output(xa);
 
-        Iccg {
-            program,
-            x,
-            v,
-            n,
-            passes,
-            x_init,
-            v_init,
-            ir: p,
-        }
+        Iccg { program, ir: p }
     }
 }
 
@@ -142,65 +128,6 @@ impl Benchmark for Iccg {
         MetricKind::Mae
     }
 
-    fn run(&self, ctx: &mut ExecCtx<'_>) -> Vec<f64> {
-        let mut x = MpVec::from_values(ctx, self.x, &self.x_init);
-        let v = MpVec::from_values(ctx, self.v, &self.v_init);
-        // Count the butterfly's update sites up front (integer-only dry
-        // walk) so flop and memory accounting can be charged in bulk.
-        let per_pass = {
-            let mut count = 0u64;
-            let mut ii = self.n;
-            let mut ipntp = 0;
-            while ii > 1 {
-                let ipnt = ipntp;
-                ipntp += ii;
-                ii /= 2;
-                count += ((ipnt + 1)..(ipntp - 1)).step_by(2).len() as u64;
-            }
-            count
-        };
-        let iters = per_pass * self.passes as u64;
-        ctx.flop(self.x, &[self.v], 9 * iters);
-        // Butterfly reduction: level sizes n/2, n/4, ..., 1. Within a
-        // level k steps by two, so each level is one group whose five load
-        // streams stride 2 elements while the store stream (compacting
-        // into the next level at ipntp) strides 1.
-        let mut level = mixp_float::StreamGroup::new();
-        level
-            .load_strided(&x, 0, 2)
-            .load_strided(&v, 0, 2)
-            .load_strided(&x, 0, 2)
-            .load_strided(&v, 0, 2)
-            .load_strided(&x, 0, 2)
-            .store(&x, 0);
-        let vv = v.raw();
-        for _ in 0..self.passes {
-            let mut ii = self.n;
-            let mut ipntp = 0;
-            while ii > 1 {
-                let ipnt = ipntp;
-                ipntp += ii;
-                ii /= 2;
-                let k0 = ipnt + 1;
-                let klen = ((ipnt + 1)..(ipntp - 1)).step_by(2).len();
-                level
-                    .rebase(0, &x, k0)
-                    .rebase(1, &v, k0)
-                    .rebase(2, &x, k0 - 1)
-                    .rebase(3, &v, k0 + 1)
-                    .rebase(4, &x, k0 + 1)
-                    .rebase(5, &x, ipntp);
-                level.commit(ctx, klen);
-                for (i, k) in (ipntp..).zip(((ipnt + 1)..(ipntp - 1)).step_by(2)) {
-                    let xs = x.raw();
-                    let val = xs[k] - vv[k] * xs[k - 1] + vv[k + 1] * xs[k + 1];
-                    x.write_rounded(i, val);
-                }
-            }
-        }
-        x.snapshot()
-    }
-
     fn ir_program(&self) -> Option<&mixp_ir::Program> {
         Some(&self.ir)
     }
@@ -209,7 +136,7 @@ impl Benchmark for Iccg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mixp_core::{Evaluator, QualityThreshold};
+    use mixp_core::{Evaluator, ExecCtx, QualityThreshold};
 
     #[test]
     fn model_matches_table2() {

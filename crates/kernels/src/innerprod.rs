@@ -1,10 +1,7 @@
 //! Inner product.
 
 use crate::common::{init_data, vid};
-use mixp_core::{
-    Benchmark, BenchmarkKind, ExecCtx, MetricKind, ProgramBuilder, ProgramModel, VarId,
-};
-use mixp_float::{MpScalar, MpVec};
+use mixp_core::{Benchmark, BenchmarkKind, MetricKind, ProgramBuilder, ProgramModel};
 use mixp_ir::Reduce;
 
 /// Inner product (Table I) — the Livermore loop 3 shape:
@@ -21,13 +18,6 @@ use mixp_ir::Reduce;
 #[derive(Debug, Clone)]
 pub struct InnerProd {
     program: ProgramModel,
-    z: VarId,
-    x: VarId,
-    q: VarId,
-    n: usize,
-    passes: usize,
-    z_init: Vec<f64>,
-    x_init: Vec<f64>,
     ir: mixp_ir::Program,
 }
 
@@ -57,14 +47,14 @@ impl InnerProd {
         b.bind(z, x);
         let q = b.scalar(f, "q");
         let program = b.build();
-        let z_init = init_data("innerprod", 0, n, 0.001, 0.011);
-        let x_init = init_data("innerprod", 1, n, 0.001, 0.011);
 
         // Passes are unrolled (each uses a distinct weight); the fresh
-        // per-pass accumulator becomes one scalar reset via `set_scalar`.
+        // per-pass accumulator is one scalar reset via `set_scalar`. The
+        // accumulation stays a serial dependence chain whose latency does
+        // not shrink at single precision.
         let mut p = mixp_ir::Program::new("innerprod");
-        let za = p.array_init(vid(z), z_init.clone());
-        let xa = p.array_init(vid(x), x_init.clone());
+        let za = p.array_init(vid(z), init_data("innerprod", 0, n, 0.001, 0.011));
+        let xa = p.array_init(vid(x), init_data("innerprod", 1, n, 0.001, 0.011));
         let qs = p.scalar(vid(q), 0.0);
         for pass in 0..passes {
             p.set_scalar(qs);
@@ -74,17 +64,7 @@ impl InnerProd {
             p.emit_scalar(qs);
         }
 
-        InnerProd {
-            program,
-            z,
-            x,
-            q,
-            n,
-            passes,
-            z_init,
-            x_init,
-            ir: p,
-        }
+        InnerProd { program, ir: p }
     }
 }
 
@@ -115,23 +95,6 @@ impl Benchmark for InnerProd {
         MetricKind::Mae
     }
 
-    fn run(&self, ctx: &mut ExecCtx<'_>) -> Vec<f64> {
-        let z = MpVec::from_values(ctx, self.z, &self.z_init);
-        let x = MpVec::from_values(ctx, self.x, &self.x_init);
-        let mut out = Vec::with_capacity(self.passes);
-        for p in 0..self.passes {
-            let mut q = MpScalar::new(ctx, self.q, 0.0);
-            // The multiply-accumulate sweep is `dot_weighted`'s canonical
-            // loop; the accumulation stays a serial dependence chain whose
-            // latency does not shrink at single precision.
-            z.dot_weighted(ctx, &x, 1.0 + p as f64 * 1e-6, &mut q);
-            ctx.flop(self.q, &[self.z, self.x], self.n as u64);
-            ctx.heavy(self.q, &[], 2 * self.n as u64);
-            out.push(q.get());
-        }
-        out
-    }
-
     fn ir_program(&self) -> Option<&mixp_ir::Program> {
         Some(&self.ir)
     }
@@ -140,7 +103,7 @@ impl Benchmark for InnerProd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mixp_core::{Evaluator, QualityThreshold};
+    use mixp_core::{Evaluator, ExecCtx, QualityThreshold};
 
     #[test]
     fn model_matches_table2() {
@@ -155,7 +118,9 @@ mod tests {
         let cfg = k.program().config_all_double();
         let mut ctx = ExecCtx::new(&cfg);
         let out = k.run(&mut ctx);
-        let expect: f64 = k.z_init.iter().zip(&k.x_init).map(|(a, b)| a * b).sum();
+        let z = init_data("innerprod", 0, 64, 0.001, 0.011);
+        let x = init_data("innerprod", 1, 64, 0.001, 0.011);
+        let expect: f64 = z.iter().zip(&x).map(|(a, b)| a * b).sum();
         assert!((out[0] - expect).abs() < 1e-12);
     }
 

@@ -1,10 +1,7 @@
 //! Integrate predictors.
 
 use crate::common::{init_data, vid};
-use mixp_core::{
-    Benchmark, BenchmarkKind, ExecCtx, MetricKind, ProgramBuilder, ProgramModel, VarId,
-};
-use mixp_float::{MpScalar, MpVec};
+use mixp_core::{Benchmark, BenchmarkKind, MetricKind, ProgramBuilder, ProgramModel};
 use mixp_ir::{Expr, Sweep};
 
 /// Integrate predictors (Table I) — the Livermore loop 24-style predictor
@@ -20,12 +17,6 @@ use mixp_ir::{Expr, Sweep};
 #[derive(Debug, Clone)]
 pub struct IntPredict {
     program: ProgramModel,
-    px: VarId,
-    cx: VarId,
-    coeffs: [VarId; 7],
-    n: usize,
-    passes: usize,
-    cx_init: Vec<f64>,
     ir: mixp_ir::Program,
 }
 
@@ -62,11 +53,11 @@ impl IntPredict {
             b.bind(coeffs[0], coeffs[i]);
         }
         let program = b.build();
-        let cx_init = init_data("int-predict", 0, n, 0.01, 0.11);
 
         let mut p = mixp_ir::Program::new("int-predict");
-        let cxa = p.array_init(vid(cx), cx_init.clone());
+        let cxa = p.array_init(vid(cx), init_data("int-predict", 0, n, 0.01, 0.11));
         let pxa = p.array(vid(px), n);
+        // Small, damping coefficient values keep the integration stable.
         let cvals = [0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125];
         let cs: Vec<_> = coeffs
             .iter()
@@ -78,6 +69,8 @@ impl IntPredict {
             p.flop(vid(px), &[vid(c), vid(cx)], 2 * iters);
         }
         p.flop(vid(px), &[], 2 * iters);
+        // Per point: seven taps cx[i], cx[i-1], ..., cx[i-6] (one stream
+        // per tap, in tap order), then px[i-1], then the px[i] store.
         p.begin_repeat(passes);
         let mut s = Sweep::new(n - 7);
         for j in 0..7 {
@@ -93,16 +86,7 @@ impl IntPredict {
         p.end_repeat();
         p.output(pxa);
 
-        IntPredict {
-            program,
-            px,
-            cx,
-            coeffs,
-            n,
-            passes,
-            cx_init,
-            ir: p,
-        }
+        IntPredict { program, ir: p }
     }
 }
 
@@ -133,45 +117,6 @@ impl Benchmark for IntPredict {
         MetricKind::Mae
     }
 
-    fn run(&self, ctx: &mut ExecCtx<'_>) -> Vec<f64> {
-        let cx = MpVec::from_values(ctx, self.cx, &self.cx_init);
-        let mut px = ctx.alloc_vec(self.px, self.n);
-        // Small, damping coefficient values keep the integration stable.
-        let cvals = [0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125];
-        let coeffs: Vec<MpScalar> = self
-            .coeffs
-            .iter()
-            .zip(cvals)
-            .map(|(&v, c)| MpScalar::new(ctx, v, c))
-            .collect();
-        let iters = (self.passes * (self.n - 7)) as u64;
-        for j in 0..coeffs.len() {
-            ctx.flop(self.px, &[self.coeffs[j], self.cx], 2 * iters);
-        }
-        ctx.flop(self.px, &[], 2 * iters);
-        // Per point: seven taps cx[i], cx[i-1], ..., cx[i-6] (one stream
-        // per tap so the group keeps the tap order), then px[i-1], then
-        // the px[i] store.
-        let mut group = mixp_float::StreamGroup::new();
-        for j in 0..coeffs.len() {
-            group.load(&cx, 7 - j);
-        }
-        group.load(&px, 6).store(&px, 7);
-        let cxv = cx.raw();
-        for _ in 0..self.passes {
-            group.commit(ctx, self.n - 7);
-            for i in 7..self.n {
-                let mut acc = 0.0;
-                for (j, c) in coeffs.iter().enumerate() {
-                    acc += c.get() * cxv[i - j];
-                }
-                let prev = px.raw()[i - 1];
-                px.write_rounded(i, 0.5 * (acc + prev));
-            }
-        }
-        px.snapshot()
-    }
-
     fn ir_program(&self) -> Option<&mixp_ir::Program> {
         Some(&self.ir)
     }
@@ -180,7 +125,8 @@ impl Benchmark for IntPredict {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mixp_core::{Evaluator, QualityThreshold};
+    use crate::common::var;
+    use mixp_core::{Evaluator, ExecCtx, QualityThreshold};
 
     #[test]
     fn model_matches_table2() {
@@ -211,7 +157,8 @@ mod tests {
     fn coefficient_cluster_alone_is_no_win() {
         let k = IntPredict::small();
         let mut ev = Evaluator::new(&k, QualityThreshold::new(1e-3));
-        let cfg = mixp_core::PrecisionConfig::from_lowered(k.program().var_count(), k.coeffs);
+        let coeffs = ["c0", "c1", "c2", "c3", "c4", "c5", "c6"].map(|name| var(&k, name));
+        let cfg = mixp_core::PrecisionConfig::from_lowered(k.program().var_count(), coeffs);
         let rec = ev.evaluate(&cfg).unwrap();
         assert!(rec.compiled);
         assert!(rec.speedup < 1.1, "speedup {}", rec.speedup);

@@ -1,10 +1,7 @@
 //! Planckian distribution.
 
 use crate::common::{init_data, vid};
-use mixp_core::{
-    Benchmark, BenchmarkKind, ExecCtx, MetricKind, ProgramBuilder, ProgramModel, VarId,
-};
-use mixp_float::{MpScalar, MpVec};
+use mixp_core::{Benchmark, BenchmarkKind, MetricKind, ProgramBuilder, ProgramModel};
 use mixp_ir::{Expr, Sweep};
 
 /// Planckian distribution (Table I) — the Livermore loop 22 shape:
@@ -19,17 +16,6 @@ use mixp_ir::{Expr, Sweep};
 #[derive(Debug, Clone)]
 pub struct Planckian {
     program: ProgramModel,
-    w: VarId,
-    x: VarId,
-    y: VarId,
-    v: VarId,
-    expmax: VarId,
-    u: VarId,
-    n: usize,
-    passes: usize,
-    x_init: Vec<f64>,
-    y_init: Vec<f64>,
-    v_init: Vec<f64>,
     ir: mixp_ir::Program,
 }
 
@@ -65,14 +51,11 @@ impl Planckian {
         let u = b.scalar(f, "u");
         b.bind(expmax, u);
         let program = b.build();
-        let x_init = init_data("planckian", 0, n, 0.01, 0.11);
-        let y_init = init_data("planckian", 1, n, 0.5, 1.5);
-        let v_init = init_data("planckian", 2, n, 0.5, 1.5);
 
         let mut p = mixp_ir::Program::new("planckian");
-        let xa = p.array_init(vid(x), x_init.clone());
-        let ya = p.array_init(vid(y), y_init.clone());
-        let va = p.array_init(vid(v), v_init.clone());
+        let xa = p.array_init(vid(x), init_data("planckian", 0, n, 0.01, 0.11));
+        let ya = p.array_init(vid(y), init_data("planckian", 1, n, 0.5, 1.5));
+        let va = p.array_init(vid(v), init_data("planckian", 2, n, 0.5, 1.5));
         let wa = p.array(vid(w), n);
         let ems = p.scalar(vid(expmax), 20.0);
         let us = p.scalar(vid(u), 0.990);
@@ -89,21 +72,7 @@ impl Planckian {
         p.end_repeat();
         p.output(wa);
 
-        Planckian {
-            program,
-            w,
-            x,
-            y,
-            v,
-            expmax,
-            u,
-            n,
-            passes,
-            x_init,
-            y_init,
-            v_init,
-            ir: p,
-        }
+        Planckian { program, ir: p }
     }
 }
 
@@ -134,33 +103,6 @@ impl Benchmark for Planckian {
         MetricKind::Mae
     }
 
-    fn run(&self, ctx: &mut ExecCtx<'_>) -> Vec<f64> {
-        let x = MpVec::from_values(ctx, self.x, &self.x_init);
-        let y = MpVec::from_values(ctx, self.y, &self.y_init);
-        let v = MpVec::from_values(ctx, self.v, &self.v_init);
-        let mut w = ctx.alloc_vec(self.w, self.n);
-        let expmax = MpScalar::new(ctx, self.expmax, 20.0);
-        let u = MpScalar::new(ctx, self.u, 0.990);
-        let iters = (self.passes * self.n) as u64;
-        ctx.heavy(self.w, &[self.y, self.v, self.expmax], iters);
-        ctx.heavy(self.w, &[self.u], iters);
-        ctx.heavy(self.w, &[self.x], iters);
-        let mut group = mixp_float::StreamGroup::new();
-        group.load(&y, 0).load(&v, 0).load(&x, 0).store(&w, 0);
-        let (em, uv) = (expmax.get(), u.get());
-        let yv = y.raw();
-        let vv = v.raw();
-        let xv = x.raw();
-        for _ in 0..self.passes {
-            group.commit(ctx, self.n);
-            for k in 0..self.n {
-                let ratio = (yv[k] / vv[k]).min(em);
-                w.write_rounded(k, xv[k] / (ratio.exp() - uv));
-            }
-        }
-        w.snapshot()
-    }
-
     fn ir_program(&self) -> Option<&mixp_ir::Program> {
         Some(&self.ir)
     }
@@ -169,7 +111,7 @@ impl Benchmark for Planckian {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mixp_core::{Evaluator, QualityThreshold};
+    use mixp_core::{Evaluator, ExecCtx, QualityThreshold};
 
     #[test]
     fn model_matches_table2() {

@@ -1,10 +1,7 @@
 //! Tridiagonal linear systems solution.
 
 use crate::common::{init_data, vid};
-use mixp_core::{
-    Benchmark, BenchmarkKind, ExecCtx, MetricKind, ProgramBuilder, ProgramModel, VarId,
-};
-use mixp_float::MpVec;
+use mixp_core::{Benchmark, BenchmarkKind, MetricKind, ProgramBuilder, ProgramModel};
 use mixp_ir::{Expr, Sweep};
 
 /// Tridiagonal linear systems solution (Table I) — the Livermore loop 5
@@ -18,13 +15,6 @@ use mixp_ir::{Expr, Sweep};
 #[derive(Debug, Clone)]
 pub struct Tridiag {
     program: ProgramModel,
-    x: VarId,
-    y: VarId,
-    z: VarId,
-    n: usize,
-    passes: usize,
-    y_init: Vec<f64>,
-    z_init: Vec<f64>,
     ir: mixp_ir::Program,
 }
 
@@ -55,13 +45,12 @@ impl Tridiag {
         b.bind(x, y);
         b.bind(x, z);
         let program = b.build();
-        let y_init = init_data("tridiag", 0, n, 0.01, 0.11);
-        let z_init = init_data("tridiag", 1, n, 0.1, 0.9);
 
         let mut p = mixp_ir::Program::new("tridiag");
-        let ya = p.array_init(vid(y), y_init.clone());
-        let za = p.array_init(vid(z), z_init.clone());
+        let ya = p.array_init(vid(y), init_data("tridiag", 0, n, 0.01, 0.11));
+        let za = p.array_init(vid(z), init_data("tridiag", 1, n, 0.1, 0.9));
         let xa = p.array(vid(x), n);
+        // Serial chain: each element waits on x[i-1].
         let iters = (passes * (n - 1)) as u64;
         p.heavy(vid(x), &[vid(z), vid(y)], 2 * iters);
         p.begin_repeat(passes);
@@ -72,17 +61,7 @@ impl Tridiag {
         p.end_repeat();
         p.output(xa);
 
-        Tridiag {
-            program,
-            x,
-            y,
-            z,
-            n,
-            passes,
-            y_init,
-            z_init,
-            ir: p,
-        }
+        Tridiag { program, ir: p }
     }
 }
 
@@ -113,27 +92,6 @@ impl Benchmark for Tridiag {
         MetricKind::Mae
     }
 
-    fn run(&self, ctx: &mut ExecCtx<'_>) -> Vec<f64> {
-        let y = MpVec::from_values(ctx, self.y, &self.y_init);
-        let z = MpVec::from_values(ctx, self.z, &self.z_init);
-        let mut x = ctx.alloc_vec(self.x, self.n);
-        // Serial chain: each element waits on x[i-1].
-        let iters = (self.passes * (self.n - 1)) as u64;
-        ctx.heavy(self.x, &[self.z, self.y], 2 * iters);
-        let mut group = mixp_float::StreamGroup::new();
-        group.load(&z, 1).load(&y, 1).load(&x, 0).store(&x, 1);
-        let zv = z.raw();
-        let yv = y.raw();
-        for _ in 0..self.passes {
-            group.commit(ctx, self.n - 1);
-            for i in 1..self.n {
-                let prev = x.raw()[i - 1];
-                x.write_rounded(i, zv[i] * (yv[i] - prev));
-            }
-        }
-        x.snapshot()
-    }
-
     fn ir_program(&self) -> Option<&mixp_ir::Program> {
         Some(&self.ir)
     }
@@ -142,7 +100,7 @@ impl Benchmark for Tridiag {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mixp_core::{Evaluator, QualityThreshold};
+    use mixp_core::{Evaluator, ExecCtx, QualityThreshold};
 
     #[test]
     fn model_matches_table2() {
@@ -157,9 +115,11 @@ mod tests {
         let cfg = k.program().config_all_double();
         let mut ctx = ExecCtx::new(&cfg);
         let out = k.run(&mut ctx);
+        let y = init_data("tridiag", 0, 16, 0.01, 0.11);
+        let z = init_data("tridiag", 1, 16, 0.1, 0.9);
         let mut expect = vec![0.0f64; 16];
         for i in 1..16 {
-            expect[i] = k.z_init[i] * (k.y_init[i] - expect[i - 1]);
+            expect[i] = z[i] * (y[i] - expect[i - 1]);
         }
         for (o, e) in out.iter().zip(&expect) {
             assert!((o - e).abs() < 1e-15);

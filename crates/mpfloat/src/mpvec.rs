@@ -6,7 +6,7 @@
 //! [`ExecCtx`] — so per-access configuration lookups never happen on the
 //! hot path. The bulk primitives ([`MpVec::fill`], [`MpVec::copy_from`],
 //! [`MpVec::axpy`], [`MpVec::xpby`], [`MpVec::dot`],
-//! [`MpVec::dot_weighted`], [`MpVec::sum_with_squares`]) are the ones
+//! [`MpVec::sum_with_squares`]) are the ones
 //! benchmark code calls; each documents the canonical element-wise loop
 //! it replaces and are *bit-identical* to it in output
 //! values, op counts, and traced access sequence. There is a single path
@@ -354,18 +354,6 @@ impl MpVec {
     ///
     /// Panics if the lengths differ.
     pub fn dot(&self, ctx: &mut ExecCtx<'_>, other: &MpVec, acc: &mut MpScalar) {
-        self.dot_weighted(ctx, other, 1.0, acc);
-    }
-
-    /// Accumulates `(self[i] * other[i]) * w` into `acc` (the canonical
-    /// loop of [`MpVec::dot`] with each product scaled by `w` before the
-    /// add). With `w = 1.0` the scaling multiply is an IEEE identity, so
-    /// `dot` simply delegates here.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn dot_weighted(&self, ctx: &mut ExecCtx<'_>, other: &MpVec, w: f64, acc: &mut MpScalar) {
         let n = self.data.len();
         assert_eq!(n, other.data.len(), "dot: length mismatch");
         ctx.count_loads(self.prec, n as u64);
@@ -374,7 +362,7 @@ impl MpVec {
         per_prec!(acc.precision(), r, {
             let mut a = acc.get();
             for (&x, &y) in self.data.iter().zip(&other.data) {
-                a = r(a + (x * y) * w);
+                a = r(a + x * y);
             }
             acc.assign_prerounded(a);
         });
@@ -930,30 +918,6 @@ mod bulk_equivalence_tests {
                 for i in 0..x.len() {
                     let t = x.get(ctx, i) * y.get(ctx, i);
                     acc.set(ctx, acc.get() + t);
-                }
-                vec![acc.get()]
-            },
-        );
-    }
-
-    #[test]
-    fn dot_weighted_matches_scalar_loop() {
-        let w = 1.0 + 3.0 * 1e-6;
-        check_equivalence(
-            move |ctx, [a, b, c]| {
-                let x = MpVec::from_values(ctx, a, &seeded(N, 11));
-                let y = MpVec::from_values(ctx, b, &seeded(N, 12));
-                let mut acc = MpScalar::new(ctx, c, 0.0);
-                x.dot_weighted(ctx, &y, w, &mut acc);
-                vec![acc.get()]
-            },
-            move |ctx, [a, b, c]| {
-                let x = MpVec::from_values(ctx, a, &seeded(N, 11));
-                let y = MpVec::from_values(ctx, b, &seeded(N, 12));
-                let mut acc = MpScalar::new(ctx, c, 0.0);
-                for i in 0..x.len() {
-                    let t = x.get(ctx, i) * y.get(ctx, i);
-                    acc.set(ctx, acc.get() + t * w);
                 }
                 vec![acc.get()]
             },

@@ -65,13 +65,7 @@ impl StreamGroup {
     /// Declares a unit-stride store stream over `v` starting at element
     /// `start`.
     pub fn store(&mut self, v: &MpVec, start: usize) -> &mut Self {
-        self.store_strided(v, start, 1)
-    }
-
-    /// Declares a store stream over `v` with an element step (see
-    /// [`StreamGroup::load_strided`]).
-    pub fn store_strided(&mut self, v: &MpVec, start: usize, step_elems: i64) -> &mut Self {
-        self.specs.push(v.stream_store(start, step_elems));
+        self.specs.push(v.stream_store(start, 1));
         self.precs.push(Some(v.precision()));
         self
     }
@@ -80,17 +74,7 @@ impl StreamGroup {
     /// starting at element `start` (traced as 4-byte accesses, never
     /// op-counted).
     pub fn load_index(&mut self, iv: &IndexVec, start: usize) -> &mut Self {
-        self.load_index_strided(iv, start, 1)
-    }
-
-    /// Declares an index load stream with an element step.
-    pub fn load_index_strided(
-        &mut self,
-        iv: &IndexVec,
-        start: usize,
-        step_elems: i64,
-    ) -> &mut Self {
-        self.specs.push(iv.stream_load(start, step_elems));
+        self.specs.push(iv.stream_load(start, 1));
         self.precs.push(None);
         self
     }

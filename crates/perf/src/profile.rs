@@ -222,7 +222,8 @@ mod tests {
             group
                 .clear()
                 .load_strided(&va, sweep, 0)
-                .store_strided(&vc, 1, 2);
+                .load_strided(&vb, 1, 2)
+                .store(&vc, 1);
             group.commit(&mut ctx, 2000);
             let _ = va.get(&mut ctx, sweep * 7);
         }

@@ -114,7 +114,7 @@ if [ -n "$panic_violations" ]; then
 fi
 echo "ok: campaign execution paths are panic-free"
 
-echo "== [5/14] fast-path guard: benchmark hot loops must use the bulk layer =="
+echo "== [5/14] fast-path guard: bulk-layer hot loops, one definition per benchmark =="
 # The speedup model's wall-clock claims rest on benchmarks going through
 # the MpVec fast path: per-handle cached rounding and bulk accounting.
 # Reaching around it — rounding manually with `round_to`, or reading
@@ -139,7 +139,18 @@ if [ -n "$fastpath_violations" ]; then
   echo "error: kernel/app non-test code bypasses the MpVec fast path — use the bulk primitives or StreamGroup::commit (trace_element for gathers)" >&2
   exit 1
 fi
-echo "ok: kernels and apps stay on the bulk/fast-path API"
+# One definition per benchmark: a benchmark with an IR program is defined
+# by that program alone (the default `Benchmark::run` interprets it), so a
+# file that also hand-writes `run` holds a second copy that nothing keeps
+# honest.
+double_defs=$(grep -lE 'fn ir_program[[:space:]]*\(' -r crates/kernels/src crates/apps/src --include='*.rs' | \
+  xargs -r grep -lE 'fn run[[:space:]]*\(&self' || true)
+if [ -n "$double_defs" ]; then
+  echo "$double_defs"
+  echo "error: these files define both ir_program and run — an IR-ported benchmark must use the default run" >&2
+  exit 1
+fi
+echo "ok: kernels and apps stay on the bulk/fast-path API, one definition per benchmark"
 
 echo "== [6/14] obs purity guard: zero deps, wall clock quarantined in clock.rs =="
 # The observability crate underpins the determinism story twice over: it

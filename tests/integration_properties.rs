@@ -469,20 +469,26 @@ fn obs_noop_is_bit_identical() {
     });
 }
 
-/// Every IR-ported kernel's config-specialized execution plan is
-/// bit-identical to the hand-written `run` it was compiled from, for
-/// arbitrary mixed-precision configurations: same output bits, same
-/// operation counts, same cache statistics. Both arms are exercised —
-/// the full `run_config` pipeline (hierarchy-traced) and bare untraced
-/// contexts around `compile_plan`/`run_plan`.
+/// The optimizer is pinned to the literal reading of each program: for
+/// every IR-ported benchmark (the 10 kernels and hotspot) and arbitrary
+/// mixed-precision configurations, the optimized plan (vectorized sweeps,
+/// hoisted loops, dot superinstruction) is bit-identical to the
+/// unoptimized plan of the same program: same output bits, same
+/// operation counts, same cache statistics. Both arms are exercised: the
+/// full `run_config` pipeline against the unoptimized plan traced through
+/// a fresh `Hierarchy`, and bare untraced contexts around both plans.
 #[test]
-fn ir_plans_are_bit_identical_to_handwritten_kernels() {
-    prop_check!((pick in usizes(0..10), seed in u64s(0..1_000_000), traced in bools()) => {
+fn optimized_plans_are_bit_identical_to_unoptimized() {
+    use mixp_core::perf::{CacheParams, Hierarchy};
+    use mixp_core::{compile_plan, compile_plan_unoptimized, run_config, run_plan};
+
+    prop_check!((pick in usizes(0..11), seed in u64s(0..1_000_000), traced in bools()) => {
         let bench: Box<dyn Benchmark> = {
             let mut all = mixp_kernels::all_kernels_small();
+            all.push(Box::new(mixp_apps::Hotspot::small()));
             all.swap_remove(pick % all.len())
         };
-        let prog = bench.ir_program().expect("all ten kernels are IR-ported");
+        let prog = bench.ir_program().expect("the ten kernels and hotspot are IR-ported");
         let pm = bench.program();
         let mut cfg = pm.config_all_double();
         let mut rng = SplitMix64::new(seed.wrapping_mul(2).wrapping_add(1));
@@ -494,95 +500,45 @@ fn ir_plans_are_bit_identical_to_handwritten_kernels() {
             }
         }
 
-        if traced {
-            let params = mixp_core::CacheParams::default();
-            let (d_out, d_counts, d_stats) =
-                mixp_core::run_config_direct(bench.as_ref(), &cfg, params);
-            let (p_out, p_counts, p_stats) = mixp_core::run_config(bench.as_ref(), &cfg, params);
-            prop_assert_eq!(d_out.len(), p_out.len());
-            for (d, p) in d_out.iter().zip(&p_out) {
-                prop_assert_eq!(d.to_bits(), p.to_bits(), "{} outputs diverge", bench.name());
-            }
-            prop_assert_eq!(d_counts, p_counts, "{} op counts diverge", bench.name());
-            prop_assert_eq!(d_stats, p_stats, "{} cache stats diverge", bench.name());
+        let oracle = compile_plan_unoptimized(prog, &cfg);
+        let (u_out, u_counts, p_out, p_counts) = if traced {
+            let params = CacheParams::default();
+            let mut h = Hierarchy::new(params);
+            let (u_out, u_counts) = {
+                let mut ctx = ExecCtx::with_tracer(&cfg, &mut h);
+                (run_plan(&oracle, &mut ctx), ctx.counts())
+            };
+            let (p_out, p_counts, p_stats) = run_config(bench.as_ref(), &cfg, params);
+            prop_assert_eq!(h.stats(), p_stats, "{} cache stats diverge", bench.name());
+            (u_out, u_counts, p_out, p_counts)
         } else {
-            let plan = mixp_core::compile_plan(prog, &cfg);
-            let (d_out, d_counts) = {
+            let plan = compile_plan(prog, &cfg);
+            let (u_out, u_counts) = {
                 let mut ctx = ExecCtx::new(&cfg);
-                (bench.run(&mut ctx), ctx.counts())
+                (run_plan(&oracle, &mut ctx), ctx.counts())
             };
             let (p_out, p_counts) = {
                 let mut ctx = ExecCtx::new(&cfg);
-                (mixp_core::run_plan(&plan, &mut ctx), ctx.counts())
+                (run_plan(&plan, &mut ctx), ctx.counts())
             };
-            prop_assert_eq!(d_out.len(), p_out.len());
-            for (d, p) in d_out.iter().zip(&p_out) {
-                prop_assert_eq!(d.to_bits(), p.to_bits(), "{} outputs diverge", bench.name());
-            }
-            prop_assert_eq!(d_counts, p_counts, "{} op counts diverge", bench.name());
+            (u_out, u_counts, p_out, p_counts)
+        };
+        prop_assert_eq!(u_out.len(), p_out.len());
+        for (u, p) in u_out.iter().zip(&p_out) {
+            prop_assert_eq!(u.to_bits(), p.to_bits(), "{} outputs diverge", bench.name());
         }
-    });
-}
-
-/// The first IR-ported *application* (hotspot) satisfies the same
-/// bit-identity contract as the 10 kernels: its unrolled stencil IR —
-/// per-iteration charges, three row segments with boundary streams, the
-/// `tc`/`delta` scratch-scalar roundings (`LetScal`), and the grid
-/// ping-pong — reproduces the hand-written `run` exactly for arbitrary
-/// mixed configurations, on both the traced and untraced arms.
-#[test]
-fn ir_plan_is_bit_identical_to_handwritten_hotspot() {
-    prop_check!((seed in u64s(0..1_000_000), traced in bools()) => {
-        let bench = mixp_apps::Hotspot::small();
-        let prog = bench.ir_program().expect("hotspot is IR-ported");
-        let pm = bench.program();
-        let mut cfg = pm.config_all_double();
-        let mut rng = SplitMix64::new(seed.wrapping_mul(2).wrapping_add(1));
-        for v in pm.tunable_vars() {
-            match rng.next_range(4) {
-                0 | 1 => {}
-                2 => cfg.set(v, mixp_float::Precision::Single),
-                _ => cfg.set(v, mixp_float::Precision::Half),
-            }
-        }
-
-        if traced {
-            let params = mixp_core::CacheParams::default();
-            let (d_out, d_counts, d_stats) = mixp_core::run_config_direct(&bench, &cfg, params);
-            let (p_out, p_counts, p_stats) = mixp_core::run_config(&bench, &cfg, params);
-            prop_assert_eq!(d_out.len(), p_out.len());
-            for (d, p) in d_out.iter().zip(&p_out) {
-                prop_assert_eq!(d.to_bits(), p.to_bits(), "hotspot outputs diverge");
-            }
-            prop_assert_eq!(d_counts, p_counts, "hotspot op counts diverge");
-            prop_assert_eq!(d_stats, p_stats, "hotspot cache stats diverge");
-        } else {
-            let plan = mixp_core::compile_plan(prog, &cfg);
-            let (d_out, d_counts) = {
-                let mut ctx = ExecCtx::new(&cfg);
-                (bench.run(&mut ctx), ctx.counts())
-            };
-            let (p_out, p_counts) = {
-                let mut ctx = ExecCtx::new(&cfg);
-                (mixp_core::run_plan(&plan, &mut ctx), ctx.counts())
-            };
-            prop_assert_eq!(d_out.len(), p_out.len());
-            for (d, p) in d_out.iter().zip(&p_out) {
-                prop_assert_eq!(d.to_bits(), p.to_bits(), "hotspot outputs diverge");
-            }
-            prop_assert_eq!(d_counts, p_counts, "hotspot op counts diverge");
-        }
+        prop_assert_eq!(u_counts, p_counts, "{} op counts diverge", bench.name());
     });
 }
 
 /// The evaluator's plan path (a plan compiled per run, any worker count,
 /// batch or sequential submission) reports the same records as an evaluator
-/// forced onto the hand-written path — including non-compiling
+/// forced onto each kernel's unoptimized plan — including non-compiling
 /// cluster-splitting configurations and the all-double reference run.
 #[test]
 fn evaluator_plan_path_matches_direct_for_kernels() {
     /// Forwards a benchmark but hides its IR port, pinning the evaluator
-    /// to the hand-written `run` path.
+    /// to a `run` that interprets the unoptimized plan.
     struct DirectOnly<'a>(&'a dyn Benchmark);
     impl Benchmark for DirectOnly<'_> {
         fn name(&self) -> &str {
@@ -601,7 +557,9 @@ fn evaluator_plan_path_matches_direct_for_kernels() {
             self.0.metric()
         }
         fn run(&self, ctx: &mut ExecCtx<'_>) -> Vec<f64> {
-            self.0.run(ctx)
+            let prog = self.0.ir_program().expect("every kernel is IR-ported");
+            let plan = mixp_core::compile_plan_unoptimized(prog, ctx.config());
+            mixp_core::run_plan(&plan, ctx)
         }
     }
 
