@@ -368,8 +368,8 @@ impl ReferenceCache {
 ///
 /// IR-ported benchmarks ([`Benchmark::ir_program`]) execute through a
 /// specialized plan, compiled for this run and dropped when it returns.
-/// Every call simulates: this is the memo-free oracle the evaluator's stream memo is
-/// tested against.
+/// Every call simulates: this is the memo-free oracle the evaluator's
+/// stream memo is tested against.
 pub fn run_config(bench: &dyn Benchmark, cfg: &PrecisionConfig, cache: CacheParams) -> RunOutput {
     let plan = compile_run_plan(bench, cfg, &Obs::noop(), None);
     simulate(cache, |h| {
